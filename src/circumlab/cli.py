@@ -106,10 +106,16 @@ def _cmd_triangle(args) -> int:
     return EXIT_OK
 
 
+def _check_levels(args) -> None:
+    if args.levels < 1:
+        raise UsageError(f"--levels {args.levels} must be >= 1")
+
+
 def _cmd_interp(args) -> int:
     field = get_field(args.field)
     p = math.inf if args.p == "inf" else float(args.p)
     if args.needle_study is not None:
+        _check_levels(args)
         hs = [2.0 ** -(k + 2) for k in range(args.levels)]
         rows = interp.needle_study(hs, args.needle_study, field, p)
         csv_rows = [interp.needle_row_csv(r) for r in rows]
@@ -208,8 +214,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_mesh(args) -> int:
     if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            m = mesh.read_mesh(fh.read())
+        try:
+            with open(args.check, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read mesh file {args.check!r}: {exc}") from None
+        m = mesh.read_mesh(text)
         st = mesh.stats(m)
         results = {"stats": st.to_dict(), "warnings": m.warnings}
         doc = report.json_text("mesh", {"check": args.check}, results)
@@ -234,6 +244,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_fem(args) -> int:
+    _check_levels(args)
     field = get_field(args.field)
     ns = [args.n0 * 2 ** k for k in range(args.levels)]
     if args.family == "uniform":
@@ -275,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        p.add_argument("--svg", action="store_true", help="also write an SVG plot")
-        p.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-        p.add_argument("--quad-degree", type=int, default=None,
-                       help="fixed quadrature degree override")
 
     def triangle_args(p):
         p.add_argument("vertices", nargs="*", default=[],
@@ -302,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--needle-study", type=float, default=None, metavar="ALPHA")
     p.add_argument("--levels", type=int, default=9,
                    help="rows h = 2^-2 .. 2^-(levels+1)")
+    p.add_argument("--quad-degree", type=int, default=None,
+                   help="fixed quadrature degree override")
     p.set_defaults(handler=_cmd_interp)
 
     p = sub.add_parser("constants", help="quotient constants and bound audits")
@@ -316,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit: number of seeded right triangles")
     p.add_argument("--canonical", type=int, default=50,
                    help="audit: number of seeded canonical triangles")
+    p.add_argument("--seed", type=int, default=0, help="audit: seed of the sweep")
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("mesh", help="generators, statistics, file checking")
@@ -334,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="sinsin")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--n0", type=int, default=8, help="coarsest n")
+    p.add_argument("--svg", action="store_true", help="also write an SVG plot")
     p.set_defaults(handler=_cmd_fem)
     return parser
 

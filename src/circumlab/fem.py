@@ -20,6 +20,7 @@ import scipy.sparse
 
 from .errors import DegenerateTriangle, InconsistentSpec, NoConvergence
 from .fields import ScalarField, neg_laplacian
+from .geometry import signed_area
 from .mesh import Mesh, stats
 from .quadrature import QuadratureRule, make_rule
 
@@ -35,18 +36,16 @@ def _element_geometry(mesh: Mesh):
     """
     p = mesh.element_coords()
     x, y = p[..., 0], p[..., 1]
-    e1, e2, e3 = (np.roll(np.arange(3), -1), np.roll(np.arange(3), -2),
-                  np.arange(3))
-    s2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    if np.any(s2 <= 0.0):
-        k = int(np.argmax(s2 <= 0.0))
-        raise DegenerateTriangle(f"element {k} has non-positive area {s2[k] / 2:.3e}")
+    e1, e2 = [1, 2, 0], [2, 0, 1]
+    areas = signed_area(p)
+    if np.any(areas <= 0.0):
+        k = int(np.argmax(areas <= 0.0))
+        raise DegenerateTriangle(f"element {k} has non-positive area {areas[k]:.3e}")
     # grad(lambda_i) = rot90(opposite edge) / (2S)
-    gx = (y[:, e1] - y[:, e2]) / s2[:, None]
-    gy = (x[:, e2] - x[:, e1]) / s2[:, None]
-    return 0.5 * s2, gx, gy
+    s2 = 2.0 * areas[:, None]
+    gx = (y[:, e1] - y[:, e2]) / s2
+    gy = (x[:, e2] - x[:, e1]) / s2
+    return areas, gx, gy
 
 
 def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
@@ -281,15 +280,25 @@ def cea_study(mesh_factory, ns, exact: ScalarField, rel_tol: float = 1e-10,
               family: str = "custom") -> CeaReport:
     """One refinement row per n in ``ns``.
 
-    ``exact`` must vanish on the domain boundary (manufactured solution);
-    the right-hand side is derived analytically as -lap(exact).  Rows carry
-    the interpolation-error column so all three chain inequalities are
-    visible: |u-u_h|_1 <= |u-I_h u|_1 <= (max R_K) |u|_2.
+    ``exact`` must vanish on the domain boundary (manufactured solution),
+    else InconsistentSpec; the right-hand side is derived analytically as
+    -lap(exact).  Rows carry the interpolation-error column so all three
+    chain inequalities are visible: |u-u_h|_1 <= |u-I_h u|_1 <= (max R_K)
+    |u|_2.
     """
     f = neg_laplacian(exact)
     rows = []
     for level, n in enumerate(ns):
         mesh = mesh_factory(n)
+        # relative to the field's size: rounding leaves about 1e-16 of it at
+        # boundary vertices where it vanishes analytically
+        nodal = np.abs(interpolant_values(mesh, exact))
+        off = float(np.max(nodal[mesh.boundary], initial=0.0))
+        if off > 1e-12 * float(np.max(nodal)):
+            raise InconsistentSpec(
+                f"{exact.name} is {off:.3e} at a boundary vertex of mesh n = {n}; "
+                "the study needs u = 0 on the boundary"
+            )
         st = stats(mesh)
         sol = solve_poisson(mesh, f, rel_tol=rel_tol)
         semi_err, norm_err = h1_error(mesh, sol.values, exact)

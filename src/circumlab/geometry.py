@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,14 +43,13 @@ class Triangle:
         p1 = (float(self.p1[0]), float(self.p1[1]))
         p2 = (float(self.p2[0]), float(self.p2[1]))
         p3 = (float(self.p3[0]), float(self.p3[1]))
-        s2 = _signed_area2(p1, p2, p3)
-        h = max(_dist(p1, p2), _dist(p2, p3), _dist(p3, p1))
-        if abs(s2) < 2.0 * AREA_FLOOR * h * h:
+        v = np.array([p1, p2, p3])
+        if _below_area_floor(v):
             raise DegenerateTriangle(
-                f"area {abs(s2) / 2:.3e} below floor {AREA_FLOOR:g}*h^2 "
+                f"area {abs(signed_area(v)):.3e} below floor {AREA_FLOOR:g}*h^2 "
                 f"for vertices {p1}, {p2}, {p3}"
             )
-        if s2 < 0.0:
+        if signed_area(v) < 0.0:
             p2, p3 = p3, p2
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
@@ -59,17 +59,35 @@ class Triangle:
     def vertices(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
 
-    @property
+    @cached_property
     def area(self) -> float:
-        return 0.5 * _signed_area2(self.p1, self.p2, self.p3)
+        return float(signed_area(self.vertices))
 
 
-def _signed_area2(p1, p2, p3) -> float:
-    return (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p3[0] - p1[0]) * (p2[1] - p1[1])
+def signed_area(pts):
+    """Signed area of each triangle of a (..., 3, 2) vertex array, positive
+    for counterclockwise vertex order."""
+    p = np.asarray(pts, dtype=float)
+    d = p[..., 1:, :] - p[..., :1, :]  # p2 - p1, p3 - p1
+    return 0.5 * (d[..., 0, 0] * d[..., 1, 1] - d[..., 1, 0] * d[..., 0, 1])
 
 
-def _dist(p, q) -> float:
-    return math.hypot(q[0] - p[0], q[1] - p[1])
+def edge_lengths_and_area(pts):
+    """Edge lengths A, B, C (opposite p1, p2, p3) and absolute area S of
+    each triangle of a (..., 3, 2) vertex array."""
+    p = np.asarray(pts, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    a, b, c = (np.hypot(x[..., j] - x[..., i], y[..., j] - y[..., i])
+               for i, j in ((1, 2), (2, 0), (0, 1)))
+    return a, b, c, np.abs(signed_area(p))
+
+
+def _below_area_floor(pts):
+    """The degeneracy test S < AREA_FLOOR * h_K^2 for a (..., 3, 2) array;
+    also true for coincident vertices (S = h_K = 0) and non-finite ones."""
+    A, B, C, S = edge_lengths_and_area(pts)
+    h = np.maximum(np.maximum(A, B), C)
+    return np.logical_not(S > AREA_FLOOR * h * h)
 
 
 def reference_triangle() -> Triangle:
@@ -96,61 +114,57 @@ class TriangleMetrics:
     C_K: float
 
 
-def kobayashi_constant(A, B, C, S):
-    """Kobayashi's constant from edge lengths and area (vectorized).
-
-    Evaluated in extended precision: for flat triangles the expression is a
-    difference of nearly equal large terms.
-    """
-    A2 = np.square(np.asarray(A, dtype=np.longdouble))
-    B2 = np.square(np.asarray(B, dtype=np.longdouble))
-    C2 = np.square(np.asarray(C, dtype=np.longdouble))
-    S2 = np.square(np.asarray(S, dtype=np.longdouble))
-    val = (
-        A2 * B2 * C2 / (16.0 * S2)
-        - (A2 + B2 + C2) / 30.0
-        - (S2 / 5.0) * (1.0 / A2 + 1.0 / B2 + 1.0 / C2)
-    )
-    out = np.sqrt(val).astype(float)
-    return out if out.ndim else float(out)
-
-
 def circumradius(A, B, C, S):
-    """R = ABC/(4S), vectorized over edge-length/area arrays."""
-    A = np.asarray(A, dtype=float)
-    out = A * B * C / (4.0 * np.asarray(S, dtype=float))
-    return out if out.ndim else float(out)
+    """R = ABC/(4S), elementwise on floats or edge-length/area arrays."""
+    return A * B * C / (4.0 * S)
 
 
-def _angles(A: float, B: float, C: float) -> tuple[float, float, float]:
-    # law of cosines; clip for safety near degenerate configurations
-    def ang(a, b, c):
-        return math.acos(max(-1.0, min(1.0, (b * b + c * c - a * a) / (2.0 * b * c))))
+def kobayashi_constant(A, B, C, S):
+    """Kobayashi's constant from edge lengths and area, elementwise on
+    floats or arrays.
 
-    return ang(A, B, C), ang(B, C, A), ang(C, A, B)
+    Evaluated in float64 as sqrt(R^2 - ...) with R = circumradius(A, B, C, S):
+    the subtracted terms are positive, so C(K) <= R_K holds in floating
+    point as well.
+    """
+    R = circumradius(A, B, C, S)
+    A2, B2, C2 = A * A, B * B, C * C
+    return np.sqrt(
+        R * R
+        - (A2 + B2 + C2) / 30.0
+        - (S * S / 5.0) * (1.0 / A2 + 1.0 / B2 + 1.0 / C2)
+    )
+
+
+def shape_quantities(A, B, C, S):
+    """(h_K, rho_K, R_K, C(K), angles opposite A, B, C) from edge lengths
+    and area, elementwise on floats or arrays."""
+    h = np.maximum(np.maximum(A, B), C)
+    rho = 2.0 * S / (A + B + C)
+    angles = tuple(
+        np.arccos(np.minimum(1.0, np.maximum(
+            -1.0, (e1 * e1 + e2 * e2 - opp * opp) / (2.0 * e1 * e2))))
+        for opp, e1, e2 in ((A, B, C), (B, C, A), (C, A, B))
+    )
+    return h, rho, circumradius(A, B, C, S), kobayashi_constant(A, B, C, S), angles
 
 
 def metrics(tri: Triangle) -> TriangleMetrics:
-    """All metric quantities of ``tri`` (edges, area, radii, angles, C(K))."""
-    A = _dist(tri.p2, tri.p3)
-    B = _dist(tri.p3, tri.p1)
-    C = _dist(tri.p1, tri.p2)
-    S = tri.area
-    h_K = max(A, B, C)
-    rho_K = 2.0 * S / (A + B + C)
-    R_K = circumradius(A, B, C, S)
-    a1, a2, a3 = _angles(A, B, C)
+    """All metric quantities of ``tri`` (edges, area, radii, angles, C(K)),
+    as the one-row case of ``shape_quantities``."""
+    A, B, C, S = (float(x) for x in edge_lengths_and_area(tri.vertices))
+    h, rho, R, ck, angles = shape_quantities(A, B, C, S)
     return TriangleMetrics(
         A=A,
         B=B,
         C=C,
         S=S,
-        h_K=h_K,
-        rho_K=rho_K,
-        R_K=R_K,
-        theta_min=min(a1, a2, a3),
-        theta_max=max(a1, a2, a3),
-        C_K=kobayashi_constant(A, B, C, S),
+        h_K=float(h),
+        rho_K=rho,
+        R_K=R,
+        theta_min=float(min(angles)),
+        theta_max=float(max(angles)),
+        C_K=float(ck),
     )
 
 
@@ -214,12 +228,12 @@ def canonicalize(tri: Triangle) -> CanonicalForm:
     (0, sqrt(3)] because the baseline is the longest edge.
     """
     v = [tri.p1, tri.p2, tri.p3]
-    lengths = [_dist(v[1], v[2]), _dist(v[2], v[0]), _dist(v[0], v[1])]
+    edges = edge_lengths_and_area(tri.vertices)
+    lengths = [float(e) for e in edges[:3]]
     lmax = max(lengths)
     candidates = [i for i in range(3) if lengths[i] == lmax]
     if len(candidates) > 1:
-        m = metrics(tri)
-        angs = _angles(m.A, m.B, m.C)
+        angs = shape_quantities(*edges)[4]
         amax = max(angs[i] for i in candidates)
         candidates = [i for i in candidates if angs[i] == amax]
     i = min(candidates)
@@ -264,30 +278,7 @@ def random_triangles(n: int, rng: np.random.Generator) -> np.ndarray:
     got = 0
     while got < n:
         pts = rng.random((n - got, 3, 2))
-        s2 = np.abs(
-            (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
-            - (pts[:, 2, 0] - pts[:, 0, 0]) * (pts[:, 1, 1] - pts[:, 0, 1])
-        )
-        h2 = np.maximum(
-            ((pts[:, 1] - pts[:, 0]) ** 2).sum(axis=1),
-            np.maximum(
-                ((pts[:, 2] - pts[:, 1]) ** 2).sum(axis=1),
-                ((pts[:, 0] - pts[:, 2]) ** 2).sum(axis=1),
-            ),
-        )
-        keep = pts[s2 >= 2.0 * AREA_FLOOR * h2]
+        keep = pts[~_below_area_floor(pts)]
         out[got : got + len(keep)] = keep
         got += len(keep)
     return out
-
-
-def edge_lengths_and_area(pts: np.ndarray):
-    """Edge-length triples and absolute areas for an (n, 3, 2) vertex array."""
-    a = np.linalg.norm(pts[:, 2] - pts[:, 1], axis=1)
-    b = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
-    c = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    s = 0.5 * np.abs(
-        (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
-        - (pts[:, 2, 0] - pts[:, 0, 0]) * (pts[:, 1, 1] - pts[:, 0, 1])
-    )
-    return a, b, c, s

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
-from .geometry import Triangle
+from .geometry import Triangle, edge_lengths_and_area, shape_quantities, signed_area
 
 
 @dataclass
@@ -79,19 +79,11 @@ class MeshStats:
         }
 
 
-def _signed_areas(mesh: Mesh) -> np.ndarray:
-    p = mesh.element_coords()
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-
-
 def validate(mesh: Mesh) -> None:
     """Raise on non-positive elements, duplicate triangles, over-shared or
     mis-flagged edges; boundary flags must mark exactly the vertices of
     edges used by a single triangle."""
-    areas = _signed_areas(mesh)
+    areas = signed_area(mesh.element_coords())
     if len(areas):
         k = int(np.argmin(areas))
         if areas[k] <= 0.0:
@@ -129,23 +121,15 @@ def validate(mesh: Mesh) -> None:
 
 
 def stats(mesh: Mesh) -> MeshStats:
-    """Per-element metrics folded with order-independent max/min."""
+    """Per-element ``shape_quantities`` folded with order-independent
+    max/min."""
     p = mesh.element_coords()
-    a = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    b = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    c = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    s = _signed_areas(mesh)
+    s = signed_area(p)
     if np.any(s <= 0.0):
         k = int(np.argmax(s <= 0.0))
         raise DegenerateTriangle(f"element {k} has non-positive area {s[k]:.3e}")
-    h = np.maximum(a, np.maximum(b, c))
-    rho = 2.0 * s / (a + b + c)
-    rk = a * b * c / (4.0 * s)
-
-    def angle(opp, e1, e2):
-        return np.arccos(np.clip((e1 * e1 + e2 * e2 - opp * opp) / (2 * e1 * e2), -1, 1))
-
-    angs = np.stack([angle(a, b, c), angle(b, c, a), angle(c, a, b)])
+    h, rho, rk, _, angles = shape_quantities(*edge_lengths_and_area(p))
+    angs = np.stack(angles)
     return MeshStats(
         n_vertices=mesh.n_vertices,
         n_triangles=mesh.n_triangles,
@@ -297,12 +281,7 @@ def gen_lens(n: int) -> Mesh:
     # orientation in (x, y): the rotation u,v -> x,y preserves it, but build
     # order was chosen in (u, v); fix any clockwise elements uniformly
     tris_arr = np.array(tris, dtype=np.int64)
-    p = xy[tris_arr]
-    s = (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    flip = s < 0.0
+    flip = signed_area(xy[tris_arr]) < 0.0
     tris_arr[flip] = tris_arr[flip][:, [0, 2, 1]]
     v, b, t = _canonical_order(xy, bnd, tris_arr)
     return Mesh(v, b, t, family_tag=("lens", {"n": n}))
@@ -356,22 +335,25 @@ def read_mesh(text: str) -> Mesh:
         nv = int(parts[1])
     except ValueError:
         raise ParseError(ln, f"bad vertex count {parts[1]!r}") from None
+    if nv < 0:
+        raise ParseError(ln, f"bad vertex count {parts[1]!r}")
 
-    verts = np.empty((nv, 2))
-    flags = np.empty(nv, dtype=bool)
-    for k in range(nv):
+    verts = []
+    flags = []
+    for _ in range(nv):
         ln, body = take("a vertex line 'x y flag'")
         parts = body.split()
         if len(parts) != 3:
             raise ParseError(ln, f"expected 'x y flag', got {body!r}")
         try:
-            verts[k] = (float(parts[0]), float(parts[1]))
+            xy = (float(parts[0]), float(parts[1]))
             flag = int(parts[2])
         except ValueError:
             raise ParseError(ln, f"bad vertex entry {body!r}") from None
         if flag not in (0, 1):
             raise ParseError(ln, f"flag must be 0 or 1, got {parts[2]!r}")
-        flags[k] = bool(flag)
+        verts.append(xy)
+        flags.append(flag == 1)
 
     ln, head = take("'triangles M'")
     parts = head.split()
@@ -381,30 +363,32 @@ def read_mesh(text: str) -> Mesh:
         nt = int(parts[1])
     except ValueError:
         raise ParseError(ln, f"bad triangle count {parts[1]!r}") from None
+    if nt < 0:
+        raise ParseError(ln, f"bad triangle count {parts[1]!r}")
 
-    tris = np.empty((nt, 3), dtype=np.int64)
-    warnings = []
-    for k in range(nt):
+    tris = []
+    tri_lines = []
+    for _ in range(nt):
         ln, body = take("a triangle line 'i j k'")
         parts = body.split()
         if len(parts) != 3:
             raise ParseError(ln, f"expected 'i j k', got {body!r}")
         try:
-            tris[k] = [int(p) for p in parts]
+            idx = [int(p) for p in parts]
         except ValueError:
             raise ParseError(ln, f"bad triangle entry {body!r}") from None
-        if tris[k].min() < 0 or tris[k].max() >= nv:
+        if min(idx) < 0 or max(idx) >= nv:
             raise ParseError(ln, f"vertex index out of range in {body!r}")
-        p = verts[tris[k]]
-        s = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (
-            p[1, 1] - p[0, 1]
-        )
-        if s < 0.0:
-            tris[k] = tris[k][[0, 2, 1]]
-            warnings.append(f"line {ln}: clockwise triangle reoriented")
+        tris.append(idx)
+        tri_lines.append(ln)
     if pos != len(items):
         raise ParseError(items[pos][0], "trailing content after triangle list")
 
+    verts = np.array(verts, dtype=float).reshape(nv, 2)
+    tris = np.array(tris, dtype=np.int64).reshape(nt, 3)
+    clockwise = np.flatnonzero(signed_area(verts[tris]) < 0.0)
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    warnings = [f"line {tri_lines[k]}: clockwise triangle reoriented" for k in clockwise]
     mesh = Mesh(verts, flags, tris, warnings=warnings)
     validate(mesh)
     return mesh

@@ -133,3 +133,19 @@ def quotient_by_monomials(vertices, degree: int, kind: str,
     lam = scipy.linalg.eigh(z.T @ num @ z, z.T @ den @ z, eigvals_only=True,
                             subset_by_index=[0, 0])[0]
     return math.sqrt(max(lam, 0.0))
+
+
+def circumradius_and_kobayashi_sq(vertices) -> tuple[Fraction, Fraction]:
+    """Exact (R_K^2, C(K)^2) of a triangle: with squared edge lengths and
+    squared area both are rational in the (float, hence rational) vertices,
+    R^2 = A^2 B^2 C^2 / (16 S^2) and
+    C^2 = R^2 - (A^2 + B^2 + C^2)/30 - (S^2/5)(1/A^2 + 1/B^2 + 1/C^2)."""
+    (x1, y1), (x2, y2), (x3, y3) = [
+        (Fraction(float(p[0])), Fraction(float(p[1]))) for p in vertices
+    ]
+    a2 = (x3 - x2) ** 2 + (y3 - y2) ** 2
+    b2 = (x1 - x3) ** 2 + (y1 - y3) ** 2
+    c2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+    s2 = ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) ** 2 / 4
+    r2 = a2 * b2 * c2 / (16 * s2)
+    return r2, r2 - (a2 + b2 + c2) / 30 - (s2 / 5) * (1 / a2 + 1 / b2 + 1 / c2)

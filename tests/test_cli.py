@@ -54,6 +54,11 @@ class TestInterpCommand:
         ratios = [row["ratio_1"] for row in doc["results"]["rows"]]
         assert ratios == sorted(ratios, reverse=True)
 
+    def test_needle_study_zero_levels_exit_2(self, capsys):
+        code, out = run(capsys, "interp", "--needle-study", "1.5", "--levels", "0")
+        assert code == 2
+        assert out == ""
+
     def test_unknown_field_exit_2(self, capsys):
         code, _ = run(capsys, "interp", "--field", "nope", "0,0", "1,0", "0,1")
         assert code == 2
@@ -121,6 +126,12 @@ class TestMeshCommand:
         assert code == 0
         assert json.loads(out)["results"]["stats"]["n_triangles"] == 3 * 6 * 4
 
+    def test_unreadable_file_exit_2(self, capsys, tmp_path):
+        code, _ = run(capsys, "mesh", "--check", str(tmp_path / "missing.txt"))
+        assert code == 2
+        code, _ = run(capsys, "mesh", "--check", str(tmp_path))  # a directory
+        assert code == 2
+
     def test_bad_family_exit_2(self, capsys):
         code, _ = run(capsys, "mesh", "--family", "hexes")
         assert code == 2
@@ -142,6 +153,27 @@ class TestFemCommand:
             ).read_bytes()
         svg = (tmp_path / "a" / "fem.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_zero_levels_exit_2_before_any_work(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, text = run(capsys, "fem", "--levels", "0", "--svg", "--out", str(out))
+        assert code == 2
+        assert text == "" and not out.exists()
+
+    def test_field_not_vanishing_on_boundary_exit_2(self, capsys):
+        code, _ = run(capsys, "fem", "--field", "expxy", "--levels", "1", "--n0", "4")
+        assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangle", "--seed", "3", "0,0", "1,0", "0,1"],
+    ["mesh", "--svg"],
+    ["fem", "--quad-degree", "4"],
+])
+def test_flag_of_another_subcommand_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_mesh_file_from_library_round_trips_through_cli(tmp_path, capsys):

@@ -160,6 +160,10 @@ class TestCeaStudy:
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert all(a < b for a, b in zip(angles, angles[1:]))
 
+    def test_field_not_vanishing_on_boundary_rejected(self):
+        with pytest.raises(InconsistentSpec, match="boundary"):
+            cea_study(gen_uniform, [4], get_field("expxy"), family="uniform")
+
     def test_lens_interpolation_error_decreases(self):
         from circumlab.mesh import gen_lens, stats
 

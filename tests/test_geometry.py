@@ -19,6 +19,7 @@ from circumlab.geometry import (
     random_triangles,
     reference_triangle,
 )
+from oracles import circumradius_and_kobayashi_sq
 
 SQRT3 = math.sqrt(3.0)
 
@@ -65,6 +66,13 @@ class TestMetrics:
         with pytest.raises(DegenerateTriangle):
             Triangle((0, 0), (1, 0), (2, 0))
 
+    @pytest.mark.parametrize("p2,p3", [((0, 0), (0, 0)), ((1, 0), (math.nan, 1)),
+                                       ((1, 0), (0, math.inf))],
+                             ids=["coincident", "nan", "inf"])
+    def test_coincident_or_non_finite_rejected(self, p2, p3):
+        with pytest.raises(DegenerateTriangle):
+            Triangle((0, 0), p2, p3)
+
     def test_area_floor(self):
         # S = height/2 against the floor 1e-14 * h^2 with h ~ 1
         with pytest.raises(DegenerateTriangle):
@@ -103,6 +111,27 @@ class TestKobayashiCorollary:
             m2 = metrics(Triangle(move(tri.p1), move(tri.p2), move(tri.p3)))
             assert m2.R_K == pytest.approx(lam * m.R_K, rel=1e-12)
             assert m2.C_K == pytest.approx(lam * m.C_K, rel=1e-12)
+
+
+class TestFloat64AgainstExact:
+    """Float64 C(K) and R_K against exact rational values, to 1e-12."""
+
+    @staticmethod
+    def check(tri):
+        m = metrics(tri)
+        r2, k2 = circumradius_and_kobayashi_sq(tri.vertices)
+        assert m.R_K == pytest.approx(math.sqrt(r2), rel=1e-12)
+        assert m.C_K == pytest.approx(math.sqrt(k2), rel=1e-12)
+        assert m.C_K < m.R_K
+
+    @pytest.mark.parametrize("alpha", np.linspace(1.2, 6.0, 13))
+    def test_needles(self, alpha):
+        for h in (0.5, 0.1, 2.0 ** -5):
+            self.check(needle_triangle(h, alpha))
+
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(1, 13)])
+    def test_right_slivers(self, eps):
+        self.check(Triangle((0, 0), (1, 0), (0, eps)))
 
 
 class TestConditionFlags:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumlab.errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
-from circumlab.geometry import metrics, needle_triangle
+from circumlab.geometry import Triangle, metrics, needle_triangle
 from circumlab.mesh import (
     Mesh,
     crisscross_rows,
@@ -95,6 +97,20 @@ class TestLens:
             gen_lens(1)
 
 
+def _random_triangles():
+    """Non-degenerate triangles with vertices on a 1e-6 grid in [-1, 1]^2."""
+    coord = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 10 ** 6)
+    point = st.tuples(coord, coord)
+
+    def build(p1, p2, p3):
+        try:
+            return Triangle(p1, p2, p3)
+        except DegenerateTriangle:
+            return None
+
+    return st.builds(build, point, point, point).filter(lambda t: t is not None)
+
+
 class TestStats:
     def test_single_needle_matches_metrics(self):
         tri = needle_triangle(0.5, 1.5)
@@ -104,6 +120,19 @@ class TestStats:
         assert s.h_max == m.h_K
         assert s.max_angle == pytest.approx(m.theta_max, rel=1e-13)
         assert s.min_rho_over_h == pytest.approx(m.rho_K / m.h_K, rel=1e-13)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(
+        _random_triangles(),
+        st.builds(needle_triangle, st.floats(1e-2, 1.0), st.floats(1.2, 6.0)),
+        st.builds(lambda eps, s: Triangle((0, 0), (1, 0), (s, eps)),
+                  st.floats(1e-12, 1e-3), st.floats(-0.5, 1.5)),
+    ))
+    def test_single_triangle_equals_metrics_exactly(self, tri):
+        s = stats(single_triangle_mesh(tri))
+        m = metrics(tri)
+        assert (s.h_max, s.max_R_K, s.min_angle, s.max_angle, s.min_rho_over_h) == (
+            m.h_K, m.R_K, m.theta_min, m.theta_max, m.rho_K / m.h_K)
 
     def test_permutation_invariance(self):
         m = gen_crisscross_aniso(4, 1.5)
@@ -158,6 +187,24 @@ class TestTextFormat:
         assert m.warnings and "reoriented" in m.warnings[0]
         validate(m)
 
+    def test_clockwise_warnings_name_their_lines_in_order(self):
+        m = gen_uniform(2)
+        lines = write_mesh(m).splitlines()
+        head, tris = lines[:11], lines[11:]  # 'vertices 9' .. 'triangles 8'
+        body = []
+        for k, line in enumerate(tris):
+            if k in (1, 5):
+                body.append("# comment")
+            i, j, l = line.split()
+            body.append(f"{i} {l} {j}  # clockwise" if k in (1, 4, 6) else line)
+        text = "\n".join(["# header", *head, "", *body]) + "\n"
+        got = read_mesh(text)
+        # header 1, head 2-12, blank 13, triangles from 14 with comments at 15, 20
+        assert got.warnings == [
+            f"line {n}: clockwise triangle reoriented" for n in (16, 19, 22)
+        ]
+        assert np.array_equal(got.triangles, m.triangles)
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 1"):
             read_mesh("vertexes 3\n")
@@ -165,6 +212,8 @@ class TestTextFormat:
             read_mesh("vertices 2\n0 0 1\n0 nan_x 1\ntriangles 0\n")
         with pytest.raises(ParseError, match="line 2"):
             read_mesh("vertices 1\n0 0 7\ntriangles 0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            read_mesh("vertices -1\ntriangles 0\n")
         with pytest.raises(ParseError, match="line 6"):
             read_mesh("vertices 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 9\n")
         with pytest.raises(ParseError):
