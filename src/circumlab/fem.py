@@ -22,35 +22,34 @@ from .errors import DegenerateTriangle, InconsistentSpec, NoConvergence
 from .fields import ScalarField, neg_laplacian
 from .geometry import signed_area
 from .mesh import Mesh, stats
-from .quadrature import QuadratureRule, make_rule
+from .quadrature import (QuadratureRule, lp_power, make_rule, p1_values,
+                         physical_points, seminorm_power)
 
 LOAD_QUAD_DEGREE = 4
 ERROR_QUAD_DEGREE = 6
 
 
-def _element_geometry(mesh: Mesh):
-    """Per-element signed areas and P1 shape gradients.
-
-    Returns (areas (nt,), gx (nt, 3), gy (nt, 3)) where column i holds the
-    gradient of the hat function of local vertex i.
-    """
-    p = mesh.element_coords()
+def _element_geometry(p):
+    """Signed areas (...) and P1 shape gradients gx, gy (..., 3) of the
+    triangles of a (..., 3, 2) vertex array; entry i of the last axis of
+    gx, gy is the gradient of the hat function of local vertex i."""
     x, y = p[..., 0], p[..., 1]
     e1, e2 = [1, 2, 0], [2, 0, 1]
     areas = signed_area(p)
-    if np.any(areas <= 0.0):
-        k = int(np.argmax(areas <= 0.0))
-        raise DegenerateTriangle(f"element {k} has non-positive area {areas[k]:.3e}")
+    flat = np.ravel(areas)
+    if np.any(flat <= 0.0):
+        k = int(np.argmax(flat <= 0.0))
+        raise DegenerateTriangle(f"element {k} has non-positive area {flat[k]:.3e}")
     # grad(lambda_i) = rot90(opposite edge) / (2S)
-    s2 = 2.0 * areas[:, None]
-    gx = (y[:, e1] - y[:, e2]) / s2
-    gy = (x[:, e2] - x[:, e1]) / s2
+    s2 = (2.0 * areas)[..., None]
+    gx = (y[..., e1] - y[..., e2]) / s2
+    gy = (x[..., e2] - x[..., e1]) / s2
     return areas, gx, gy
 
 
 def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
     """Unconstrained P1 stiffness matrix (exact per-element closed form)."""
-    areas, gx, gy = _element_geometry(mesh)
+    areas, gx, gy = _element_geometry(mesh.element_coords())
     ke = areas[:, None, None] * (
         gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     )
@@ -68,15 +67,9 @@ def load_vector(mesh: Mesh, f: ScalarField,
     """int f * hat_i by per-element quadrature (default degree 4)."""
     if rule is None:
         rule = make_rule(LOAD_QUAD_DEGREE)
-    areas, _, _ = _element_geometry(mesh)
-    p = mesh.element_coords()
-    lam = rule.points  # (nq, 3) barycentric
-    xq = lam @ p[:, :, 0].T  # (nq, nt)
-    yq = lam @ p[:, :, 1].T
+    xq, yq, w = physical_points(rule, mesh.element_coords())  # (nq, nt)
     fv = np.asarray(f.value(xq, yq), dtype=float)
-    # weights carry the reference area 1/2; physical scaling is 2*area
-    contrib = (rule.weights[:, None, None] * fv[:, :, None] * lam[:, None, :]).sum(axis=0)
-    contrib *= 2.0 * areas[:, None]
+    contrib = ((w * fv)[:, :, None] * rule.points[:, None, :]).sum(axis=0)
     b = np.zeros(mesh.n_vertices)
     np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
     return b
@@ -174,52 +167,40 @@ def interpolant_values(mesh: Mesh, u: ScalarField) -> np.ndarray:
     return np.asarray(u.value(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
 
 
+def p1_error_power(pts, nodal, v: ScalarField, p: float,
+                   rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(|v - u_h|_{0,p}^p, |v - u_h|_{1,p}^p) on each triangle of a (..., 3, 2)
+    vertex array, where u_h is the P1 function with vertex values ``nodal``
+    (..., 3), on the points of ``rule``; at p = inf the maxima over them.
+    Evaluates v's value and gradient once each, never its Hessian."""
+    if v.grad is None:
+        raise InconsistentSpec(f"{v.name} has no gradient evaluators")
+    _, gx, gy = _element_geometry(pts)
+    x, y, w = physical_points(rule, pts)
+    ev = np.asarray(v.value(x, y), dtype=float)
+    ex, ey = v.grad(x, y)
+    return (lp_power(w, p, [ev - p1_values(rule, nodal)]),
+            lp_power(w, p, [ex - (nodal * gx).sum(axis=-1), ey - (nodal * gy).sum(axis=-1)]))
+
+
 def h1_error(mesh: Mesh, nodal: np.ndarray, exact: ScalarField,
              rule: QuadratureRule | None = None) -> tuple[float, float]:
     """(H1-seminorm error, full H1-norm error) of a nodal P1 function
     against ``exact``, accumulated in element-index order."""
-    if exact.grad is None:
-        raise InconsistentSpec(f"{exact.name} has no gradient evaluators")
     if rule is None:
         rule = make_rule(ERROR_QUAD_DEGREE)
-    areas, gx, gy = _element_geometry(mesh)
-    p = mesh.element_coords()
-    un = nodal[mesh.triangles]  # (nt, 3)
-    uhx = (un * gx).sum(axis=1)  # constant per element
-    uhy = (un * gy).sum(axis=1)
-
-    lam = rule.points
-    xq = lam @ p[:, :, 0].T  # (nq, nt)
-    yq = lam @ p[:, :, 1].T
-    ex, ey = exact.grad(xq, yq)
-    ev = np.asarray(exact.value(xq, yq), dtype=float)
-    uhv = lam @ un.T
-
-    w = rule.weights[:, None] * (2.0 * areas)[None, :]
-    semi2_el = (w * ((ex - uhx) ** 2 + (ey - uhy) ** 2)).sum(axis=0)
-    l22_el = (w * (ev - uhv) ** 2).sum(axis=0)
-    semi2 = float(np.add.reduce(semi2_el))
-    l22 = float(np.add.reduce(l22_el))
+    l22, semi2 = (float(np.add.reduce(e)) for e in p1_error_power(
+        mesh.element_coords(), nodal[mesh.triangles], exact, 2.0, rule))
     return math.sqrt(semi2), math.sqrt(semi2 + l22)
 
 
 def hessian_seminorm(mesh: Mesh, u: ScalarField,
                      rule: QuadratureRule | None = None) -> float:
     """|u|_{2,2} over the meshed domain (weight-2 mixed term)."""
-    if u.hess is None:
-        raise InconsistentSpec(f"{u.name} has no Hessian evaluators")
     if rule is None:
         rule = make_rule(ERROR_QUAD_DEGREE)
-    areas, _, _ = _element_geometry(mesh)
-    p = mesh.element_coords()
-    lam = rule.points
-    xq = lam @ p[:, :, 0].T
-    yq = lam @ p[:, :, 1].T
-    hxx, hxy, hyy = u.hess(xq, yq)
-    w = rule.weights[:, None] * (2.0 * areas)[None, :]
-    total = (w * (np.asarray(hxx) ** 2 + np.asarray(hyy) ** 2
-                  + 2.0 * np.asarray(hxy) ** 2)).sum()
-    return math.sqrt(float(total))
+    return math.sqrt(float(np.add.reduce(
+        seminorm_power(u, 2, 2.0, mesh.element_coords(), rule))))
 
 
 def interpolation_h1_error(mesh: Mesh, u: ScalarField,

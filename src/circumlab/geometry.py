@@ -47,6 +47,7 @@ class Triangle:
         if _below_area_floor(v):
             raise DegenerateTriangle(
                 f"area {abs(signed_area(v)):.3e} below floor {AREA_FLOOR:g}*h^2 "
+                f"or with its square outside the normal float64 range "
                 f"for vertices {p1}, {p2}, {p3}"
             )
         if signed_area(v) < 0.0:
@@ -83,11 +84,16 @@ def edge_lengths_and_area(pts):
 
 
 def _below_area_floor(pts):
-    """The degeneracy test S < AREA_FLOOR * h_K^2 for a (..., 3, 2) array;
-    also true for coincident vertices (S = h_K = 0) and non-finite ones."""
-    A, B, C, S = edge_lengths_and_area(pts)
-    h = np.maximum(np.maximum(A, B), C)
-    return np.logical_not(S > AREA_FLOOR * h * h)
+    """The degeneracy test for a (..., 3, 2) array: true unless
+    S > AREA_FLOOR * h_K^2 and S^2, the highest power of the size that C(K)
+    forms, is a normal, finite float; every intermediate of the metrics is
+    then normal and finite too.  Also true for coincident vertices
+    (S = h_K = 0) and non-finite ones."""
+    with np.errstate(over="ignore"):  # an overflow is what this detects
+        A, B, C, S = edge_lengths_and_area(pts)
+        h = np.maximum(np.maximum(A, B), C)
+        S2 = S * S
+    return ~((S > AREA_FLOOR * h * h) & (S2 >= np.finfo(float).tiny) & (S2 < np.inf))
 
 
 def reference_triangle() -> Triangle:

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFamily
+from .errors import InvalidExponent, InvalidFamily
+from .fem import _element_geometry, p1_error_power
 from .fields import ScalarField
 from .geometry import Triangle, TriangleMetrics, metrics, needle_triangle
-from .quadrature import QuadratureRule, SeminormSpec, seminorm, seminorm_auto
+from .quadrature import QuadratureRule, adaptive_values, lp_root, seminorm_power
 
 
 @dataclass(frozen=True)
 class AffineFunction:
-    """c0 + cx*x + cy*y with field-style evaluators."""
+    """c0 + cx*x + cy*y."""
 
     c0: float
     cx: float
@@ -30,48 +31,24 @@ class AffineFunction:
     def value(self, x, y):
         return self.c0 + self.cx * np.asarray(x) + self.cy * np.asarray(y)
 
-    def grad(self, x, y):
-        x = np.asarray(x)
-        return (np.full_like(x, self.cx, dtype=float),
-                np.full_like(x, self.cy, dtype=float))
-
-    def hess(self, x, y):
-        x = np.asarray(x)
-        z = np.zeros_like(x, dtype=float)
-        return z, z.copy(), z.copy()
-
     @property
     def coefficients(self) -> tuple[float, float, float]:
         return (self.c0, self.cx, self.cy)
 
 
+def _interpolant(pts: np.ndarray, v: ScalarField):
+    """v at the vertices ``pts`` (3, 2) and the gradient (cx, cy) of I_h v."""
+    nodal = np.asarray(v.value(pts[:, 0], pts[:, 1]), dtype=float)
+    _, gx, gy = _element_geometry(pts)
+    return nodal, float(nodal @ gx), float(nodal @ gy)
+
+
 def p1_interpolate(tri: Triangle, v: ScalarField) -> AffineFunction:
     """Affine function matching v at the three apexes."""
     pts = tri.vertices
-    mat = np.column_stack([np.ones(3), pts[:, 0], pts[:, 1]])
-    vals = np.array([float(v.value(p[0], p[1])) for p in pts])
-    c = np.linalg.solve(mat, vals)
-    return AffineFunction(c0=float(c[0]), cx=float(c[1]), cy=float(c[2]))
-
-
-class _Residual:
-    """v - I_h v with field-style evaluators (Hessian equals v's)."""
-
-    def __init__(self, v: ScalarField, ih: AffineFunction):
-        self._v = v
-        self._ih = ih
-        self.name = f"{v.name}-interp"
-        self.degree = v.degree
-
-    def value(self, x, y):
-        return self._v.value(x, y) - self._ih.value(x, y)
-
-    def grad(self, x, y):
-        gx, gy = self._v.grad(x, y)
-        return gx - self._ih.cx, gy - self._ih.cy
-
-    def hess(self, x, y):
-        return self._v.hess(x, y)
+    nodal, cx, cy = _interpolant(pts, v)
+    c0 = float(np.mean(nodal - cx * pts[:, 0] - cy * pts[:, 1]))
+    return AffineFunction(c0=c0, cx=cx, cy=cy)
 
 
 @dataclass(frozen=True)
@@ -80,9 +57,11 @@ class InterpErrorReport:
 
     ratio_1 = err_1p / semi_2p (0 when both vanish); err_full is the
     W^{1,p} norm (err_0p^p + err_1p^p)^(1/p).  For p = 2,
-    bound_satisfied checks err_1p <= C_K * semi_2p + 1e-10; for other p it
-    checks err_1p <= empirical_cp * R_K * semi_2p against the recorded
-    ``empirical_cp``, and ``empirical_quotient`` stores
+    bound_satisfied checks err_1p <= C_K * semi_2p; for other p it checks
+    err_1p <= empirical_cp * R_K * semi_2p against the recorded
+    ``empirical_cp``, both up to 1e-10 * (err_1p + bound + |I_h v|_{1,p,K}):
+    relative to the sides compared, with a rounding floor at the scale of
+    the interpolant's own seminorm.  ``empirical_quotient`` stores
     err_1p / (R_K * semi_2p).  circumradius_le_one flags whether R_K <= 1,
     the hypothesis under which the circumradius bound is stated.
     """
@@ -129,31 +108,35 @@ def error_report(
 ) -> InterpErrorReport:
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
-    With ``rule`` unset, polynomial fields get one exact rule and other
-    fields adaptive degree-doubling.
+    The one-element case of the mesh error functionals.  With ``rule``
+    unset, polynomial fields get one rule exact for all three seminorms and
+    other fields one degree-doubling loop over all three.
     """
+    if not p >= 1.0:
+        raise InvalidExponent(f"p = {p} below 1")
     m = metrics(tri)
-    res = _Residual(v, p1_interpolate(tri, v))
+    pts = tri.vertices
+    nodal, cx, cy = _interpolant(pts, v)
 
-    def sn(expr, spec):
-        if rule is not None and not math.isinf(p):
-            return seminorm(expr, spec, tri, rule, sup_grid=sup_grid)
-        return seminorm_auto(expr, spec, tri, sup_grid=sup_grid)
+    def evaluate(r):
+        e0, e1 = p1_error_power(pts, nodal, v, p, r)
+        return [lp_root(e, p) for e in (e0, e1, seminorm_power(v, 2, p, pts, r))]
 
-    err_0p = sn(res, SeminormSpec(0, p))
-    err_1p = sn(res, SeminormSpec(1, p))
-    semi_2p = sn(v, SeminormSpec(2, p))
+    if rule is not None and not math.isinf(p):
+        err_0p, err_1p, semi_2p = evaluate(rule)
+    else:
+        err_0p, err_1p, semi_2p = adaptive_values(evaluate, p, v.degree, sup_grid=sup_grid)
     if math.isinf(p):
         err_full = max(err_0p, err_1p)
+        ih_1p = max(abs(cx), abs(cy))
     else:
         err_full = (err_0p ** p + err_1p ** p) ** (1.0 / p)
+        ih_1p = (m.S * (abs(cx) ** p + abs(cy) ** p)) ** (1.0 / p)
     ratio_1 = err_1p / semi_2p if semi_2p > 0.0 else 0.0
     rk_bound = m.R_K * semi_2p
     quotient = err_1p / rk_bound if rk_bound > 0.0 else 0.0
-    if p == 2.0:
-        ok = err_1p <= m.C_K * semi_2p + 1e-10
-    else:
-        ok = err_1p <= empirical_cp * rk_bound + 1e-10
+    bound = m.C_K * semi_2p if p == 2.0 else empirical_cp * rk_bound
+    ok = err_1p <= bound + 1e-10 * (err_1p + bound + ih_1p)
     return InterpErrorReport(
         triangle=m,
         p=p,

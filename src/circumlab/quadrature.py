@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSpec, InvalidExponent, UnsupportedDegree
-from .geometry import Triangle
+from .geometry import Triangle, signed_area
 
 MAX_DEGREE = 30
 
@@ -56,12 +56,22 @@ def make_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(degree=degree, points=pts, weights=wt)
 
 
-def physical_points(rule: QuadratureRule, tri: Triangle):
-    """Map rule points into ``tri``; returns (x, y, weights) with weights
-    scaled by |det J| = 2S so that sum(w_i f_i) integrates f over tri."""
-    v = tri.vertices
-    xy = rule.points @ v
-    return xy[:, 0], xy[:, 1], rule.weights * (2.0 * tri.area)
+def p1_values(rule: QuadratureRule, nodal) -> np.ndarray:
+    """Values at the rule points of the P1 function with vertex values
+    ``nodal`` (..., 3), the rule axis first: an (nq, ...) array."""
+    c = np.asarray(nodal, dtype=float)
+    return (rule.points @ c.reshape(-1, 3).T).reshape(rule.points.shape[:1] + c.shape[:-1])
+
+
+def physical_points(rule: QuadratureRule, pts):
+    """Map rule points into a Triangle or each triangle of a (..., 3, 2)
+    vertex array; returns (x, y, w), each (nq, ...), with the weights
+    scaled by |det J| = 2|S| so that sum(w_i f_i) integrates f over each
+    triangle."""
+    v = pts.vertices if isinstance(pts, Triangle) else np.asarray(pts, dtype=float)
+    area = np.abs(signed_area(v))
+    w = rule.weights.reshape((-1,) + (1,) * np.ndim(area)) * (2.0 * area)
+    return p1_values(rule, v[..., 0]), p1_values(rule, v[..., 1]), w
 
 
 def integrate(f, tri: Triangle, rule: QuadratureRule) -> float:
@@ -84,24 +94,33 @@ class SeminormSpec:
             raise InvalidExponent(f"p = {self.p} below 1")
 
 
-def _components(expr, spec: SeminormSpec):
-    """(lp_weight, evaluator) pairs for the derivatives entering |.|_{m,p}."""
-    if spec.m == 0:
-        return [(1.0, lambda x, y: expr.value(x, y))]
-    if spec.m == 1:
-        if getattr(expr, "grad", None) is None:
-            raise InconsistentSpec(f"{getattr(expr, 'name', expr)} has no gradient")
-        return [
-            (1.0, lambda x, y: expr.grad(x, y)[0]),
-            (1.0, lambda x, y: expr.grad(x, y)[1]),
-        ]
-    if getattr(expr, "hess", None) is None:
-        raise InconsistentSpec(f"{getattr(expr, 'name', expr)} has no Hessian")
-    return [
-        (1.0, lambda x, y: expr.hess(x, y)[0]),
-        (1.0, lambda x, y: expr.hess(x, y)[2]),
-        (2.0, lambda x, y: expr.hess(x, y)[1]),
-    ]
+def lp_power(w, p: float, fs, weights=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """Reduce the rule axis (axis 0) of the components ``fs``: per triangle
+    the sum of w * sum_k weights_k |f_k|^p for p < inf, and the max of every
+    |f_k| (no weights) for p = inf."""
+    if math.isinf(p):
+        return np.max([np.max(np.abs(f), axis=0) for f in fs], axis=0)
+    return (w * sum(c * np.abs(f) ** p for c, f in zip(weights, fs))).sum(axis=0)
+
+
+def lp_root(power, p: float) -> float:
+    """The seminorm from what ``lp_power`` returns."""
+    return float(power) if math.isinf(p) else float(power) ** (1.0 / p)
+
+
+def seminorm_power(expr, m: int, p: float, pts, rule: QuadratureRule) -> np.ndarray:
+    """|expr|_{m,p}^p (the max at p = inf) of each triangle of ``pts``, a
+    Triangle or a (..., 3, 2) vertex array, on the points of ``rule``; the
+    one evaluator that m needs is called once."""
+    x, y, w = physical_points(rule, pts)
+    if m == 0:
+        return lp_power(w, p, [np.asarray(expr.value(x, y), dtype=float)])
+    fn = getattr(expr, ("grad", "hess")[m - 1], None)
+    if fn is None:
+        kind = ("gradient", "Hessian")[m - 1]
+        raise InconsistentSpec(f"{getattr(expr, 'name', expr)} has no {kind}")
+    d = fn(x, y)
+    return lp_power(w, p, d) if m == 1 else lp_power(w, p, (d[0], d[2], d[1]), (1.0, 1.0, 2.0))
 
 
 def barycentric_grid(subdiv: int) -> np.ndarray:
@@ -111,6 +130,13 @@ def barycentric_grid(subdiv: int) -> np.ndarray:
         for j in range(subdiv + 1 - i):
             pts.append((1.0 - (i + j) / subdiv, i / subdiv, j / subdiv))
     return np.array(pts)
+
+
+def sup_rule(subdiv: int) -> QuadratureRule:
+    """The barycentric grid as a rule for p = inf, where ``lp_power`` takes
+    a max over the points and ignores the weights."""
+    pts = barycentric_grid(subdiv)
+    return QuadratureRule(degree=0, points=pts, weights=np.zeros(len(pts)))
 
 
 def seminorm(
@@ -126,18 +152,34 @@ def seminorm(
     For p = inf the result is the max over a barycentric grid with
     ``sup_grid`` subdivisions (a lower estimate of the essential sup).
     """
-    comps = _components(expr, spec)
     if math.isinf(spec.p):
-        xy = barycentric_grid(sup_grid) @ tri.vertices
-        x, y = xy[:, 0], xy[:, 1]
-        return max(float(np.max(np.abs(f(x, y)))) for _, f in comps)
-    if rule is None:
-        rule = make_rule(8)
-    x, y, w = physical_points(rule, tri)
-    total = 0.0
-    for lp_weight, f in comps:
-        total += lp_weight * float(w @ np.abs(np.asarray(f(x, y), dtype=float)) ** spec.p)
-    return total ** (1.0 / spec.p)
+        rule = sup_rule(sup_grid)
+    return lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule or make_rule(8)), spec.p)
+
+
+def adaptive_values(evaluate, p: float, degree: int | None, rel_tol: float = 1e-8,
+                    start_degree: int = 8, sup_grid: int = 64) -> list[float]:
+    """The list ``evaluate(rule)`` returns, on the rule its integrands need:
+    the sup grid at p = inf; one exact rule of degree p * ``degree`` when
+    each integrand is |q|^p with p even and q a polynomial of degree at most
+    ``degree``; else rules of doubling degree from ``start_degree`` up to
+    MAX_DEGREE, each value frozen at the first degree where it agrees with
+    the previous one to ``rel_tol`` relative (or at the last degree).
+    """
+    if math.isinf(p):
+        return evaluate(sup_rule(sup_grid))
+    if degree is not None and p % 2 == 0 and degree * p <= MAX_DEGREE:
+        return evaluate(make_rule(max(1, int(degree * p))))
+    d = start_degree
+    vals = list(evaluate(make_rule(d)))
+    done = [False] * len(vals)
+    while d < MAX_DEGREE and not all(done):
+        d = min(2 * d, MAX_DEGREE)
+        for i, cur in enumerate(evaluate(make_rule(d))):
+            if not done[i]:
+                done[i] = abs(cur - vals[i]) <= rel_tol * max(abs(cur), 1e-300)
+                vals[i] = cur
+    return vals
 
 
 def seminorm_auto(
@@ -148,26 +190,10 @@ def seminorm_auto(
     start_degree: int = 8,
     sup_grid: int = 64,
 ) -> float:
-    """Seminorm with rule-degree doubling until two successive values agree.
-
-    For polynomial expressions with even p the first exact rule already
-    settles it; otherwise degrees double until agreement to ``rel_tol``
-    relative, capped at the max supported degree.
-    """
-    if math.isinf(spec.p):
-        return seminorm(expr, spec, tri, sup_grid=sup_grid)
+    """Seminorm on the rule ``adaptive_values`` picks: one exact rule for
+    polynomial expressions with even p, else degrees doubling until two
+    successive values agree to ``rel_tol`` relative."""
     deg = getattr(expr, "degree", None)
-    if deg is not None and spec.p == int(spec.p) and int(spec.p) % 2 == 0:
-        # |D^m u|^p is itself a polynomial: one exact rule suffices
-        need = max(1, (deg - spec.m) * int(spec.p))
-        if need <= MAX_DEGREE:
-            return seminorm(expr, spec, tri, make_rule(need))
-    d = start_degree
-    prev = seminorm(expr, spec, tri, make_rule(d))
-    while d < MAX_DEGREE:
-        d = min(2 * d, MAX_DEGREE)
-        cur = seminorm(expr, spec, tri, make_rule(d))
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
+    return adaptive_values(
+        lambda rule: [lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule), spec.p)],
+        spec.p, None if deg is None else deg - spec.m, rel_tol, start_degree, sup_grid)[0]

@@ -149,3 +149,61 @@ def circumradius_and_kobayashi_sq(vertices) -> tuple[Fraction, Fraction]:
     s2 = ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) ** 2 / 4
     r2 = a2 * b2 * c2 / (16 * s2)
     return r2, r2 - (a2 + b2 + c2) / 30 - (s2 / 5) * (1 / a2 + 1 / b2 + 1 / c2)
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), Fraction(0)) + c * d
+    return out
+
+
+def _poly_diff(a: dict, axis: int) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        e = (i, j)[axis]
+        if e:
+            key = (i - 1, j) if axis == 0 else (i, j - 1)
+            out[key] = out.get(key, Fraction(0)) + e * c
+    return out
+
+
+def interpolation_error_sq(coeffs, vertices) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (|v - I v|_{0,2}^2, |v - I v|_{1,2}^2, |v|_{2,2}^2) on a triangle
+    for the polynomial v with graded coefficients c00, c10, c01, c20, ...
+    (degree by degree, x-power decreasing).  The interpolant comes from
+    Cramer's rule on the exact vertex values, and every square is
+    integrated with ``monomial_integrals``."""
+    pairs = [(i, d - i) for d in range(20) for i in range(d, -1, -1)][:len(coeffs)]
+    v = {ij: Fraction(float(c)) for ij, c in zip(pairs, coeffs)}
+    pts = [(Fraction(float(p[0])), Fraction(float(p[1]))) for p in vertices]
+    vals = [sum(c * x ** i * y ** j for (i, j), c in v.items()) for x, y in pts]
+    rows = [[Fraction(1), x, y] for x, y in pts]
+
+    def det(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    d = det(rows)
+    interp = [det([r[:k] + [f] + r[k + 1:] for r, f in zip(rows, vals)]) / d
+              for k in range(3)]
+    err = dict(v)
+    for key, c in zip([(0, 0), (1, 0), (0, 1)], interp):
+        err[key] = err.get(key, Fraction(0)) - c
+    deg = max(i + j for i, j in pairs)
+    mom = monomial_integrals(vertices, 2 * deg)
+
+    def integral(poly):
+        return sum(c * mom[ij] for ij, c in poly.items())
+
+    ex, ey = _poly_diff(err, 0), _poly_diff(err, 1)
+    vxx, vyy, vxy = _poly_diff(_poly_diff(v, 0), 0), _poly_diff(_poly_diff(v, 1), 1), \
+        _poly_diff(_poly_diff(v, 0), 1)
+    return (
+        integral(_poly_mul(err, err)),
+        integral(_poly_mul(ex, ex)) + integral(_poly_mul(ey, ey)),
+        integral(_poly_mul(vxx, vxx)) + integral(_poly_mul(vyy, vyy))
+        + 2 * integral(_poly_mul(vxy, vxy)),
+    )

@@ -33,6 +33,12 @@ class TestTriangleCommand:
         code, _ = run(capsys, "triangle", "0,0", "1,0", "2,0")
         assert code == 3
 
+    @pytest.mark.parametrize("p2,p3", [("1e-160,0", "0,1e-160"), ("1e160,0", "0,1e160")],
+                             ids=["subnormal-area", "overflowing-area"])
+    def test_area_outside_float_range_exit_3(self, capsys, p2, p3):
+        code, _ = run(capsys, "triangle", "0,0", p2, p3)
+        assert code == 3
+
     def test_bad_vertex_exit_2(self, capsys):
         code, _ = run(capsys, "triangle", "0,0", "1,0")
         assert code == 2

@@ -67,8 +67,14 @@ class TestMetrics:
             Triangle((0, 0), (1, 0), (2, 0))
 
     @pytest.mark.parametrize("p2,p3", [((0, 0), (0, 0)), ((1, 0), (math.nan, 1)),
-                                       ((1, 0), (0, math.inf))],
-                             ids=["coincident", "nan", "inf"])
+                                       ((1, 0), (0, math.inf)),
+                                       ((1e-160, 0), (0, 1e-160)),
+                                       ((1e160, 0), (0, 1e160)),
+                                       ((1e-100, 0), (0, 1e-100)),
+                                       ((1e100, 0), (0, 1e100))],
+                             ids=["coincident", "nan", "inf", "subnormal-area",
+                                  "overflowing-area", "underflowing-area-square",
+                                  "overflowing-area-square"])
     def test_coincident_or_non_finite_rejected(self, p2, p3):
         with pytest.raises(DegenerateTriangle):
             Triangle((0, 0), p2, p3)

@@ -1,9 +1,15 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circumlab.errors import InvalidFamily
+from circumlab import quadrature
+from circumlab.errors import InvalidExponent, InvalidFamily
+from circumlab.fem import hessian_seminorm, interpolation_h1_error
 from circumlab.fields import get_field, polynomial_field, random_polynomial
 from circumlab.geometry import (
     Triangle,
@@ -19,6 +25,10 @@ from circumlab.interp import (
     needle_study,
     p1_interpolate,
 )
+from circumlab.mesh import single_triangle_mesh
+from circumlab.quadrature import make_rule
+from oracles import interpolation_error_sq
+from test_mesh import _random_triangles
 
 REF = reference_triangle()
 
@@ -108,6 +118,10 @@ class TestErrorReport:
             rep = error_report(tri, pulled, 2.0)
             assert rep.ratio_1 == pytest.approx(lam * base.ratio_1, rel=1e-10)
 
+    def test_exponent_below_one_rejected(self):
+        with pytest.raises(InvalidExponent):
+            error_report(REF, get_field("x2"), 0.5)
+
     def test_p_not_two_records_quotient(self):
         rep = error_report(REF, get_field("x2"), 4.0)
         assert rep.empirical_quotient == pytest.approx(
@@ -120,6 +134,104 @@ class TestErrorReport:
         rep = error_report(big, get_field("x2"), 2.0)
         assert not rep.circumradius_le_one
         assert rep.bound_satisfied  # the p = 2 bound holds regardless
+
+    def test_bound_check_relative_on_tiny_triangles(self):
+        # x2's value and gradient with a tenth of its Hessian: err_1p is
+        # 3.7e-13 against a bound of 6.3e-14, far below an absolute slack
+        x2 = get_field("x2")
+        weak = dataclasses.replace(
+            x2, hess=lambda x, y: tuple(0.1 * h for h in x2.hess(x, y)))
+        lam = 2.0 ** -20
+        tri = Triangle((0, 0), (lam, 0), (0, lam))
+        rep = error_report(tri, weak, 2.0)
+        assert rep.err_1p > rep.kobayashi_bound * rep.semi_2p
+        assert not rep.bound_satisfied
+        assert error_report(tri, x2, 2.0).bound_satisfied
+
+
+class TestCallCounts:
+    def counted(self, field, monkeypatch):
+        calls = Counter()
+        real_make_rule = quadrature.make_rule
+
+        def make_rule(degree):
+            calls["make_rule"] += 1
+            return real_make_rule(degree)
+
+        def counting(kind, fn):
+            def wrapper(x, y):
+                calls[kind] += 1
+                return fn(x, y)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "make_rule", make_rule)
+        return calls, dataclasses.replace(
+            field, **{k: counting(k, getattr(field, k)) for k in ("value", "grad", "hess")})
+
+    def test_polynomial_one_rule_one_evaluation_each(self, monkeypatch):
+        calls, v = self.counted(random_polynomial(np.random.default_rng(3), 4), monkeypatch)
+        error_report(Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8)), v, 2.0)
+        # value: once at the vertices, once at the rule points
+        assert calls == {"make_rule": 1, "value": 2, "grad": 1, "hess": 1}
+
+    def test_adaptive_each_field_once_per_rule(self, monkeypatch):
+        calls, v = self.counted(get_field("sinsin"), monkeypatch)
+        error_report(needle_triangle(2.0 ** -6, 1.5), v, 2.0)
+        assert 2 <= calls["make_rule"] <= 3
+        assert calls["grad"] == calls["hess"] == calls["make_rule"]
+        assert calls["value"] == calls["make_rule"] + 1
+
+
+class TestAgainstExactOracle:
+    """error_report against exact rational |v - I v|_{0,2}, |v - I v|_{1,2}
+    and |v|_{2,2} for polynomial v.  v - I v is a difference of O(1)
+    values that is O(h^2) on a triangle of width h, so float64 nodal values
+    carry a relative error near 1e-16 / h^2 that no quadrature removes;
+    the needle heights and sliver widths stop where that stays below the
+    1e-12 checked here."""
+
+    def check(self, tri, coeffs):
+        got = error_report(tri, polynomial_field(coeffs), 2.0)
+        want = interpolation_error_sq(coeffs, tri.vertices)
+        for g, w in zip((got.err_0p, got.err_1p, got.semi_2p), want):
+            assert g == pytest.approx(math.sqrt(w), rel=1e-12)
+
+    def test_random_degree_4(self):
+        rng = np.random.default_rng(31)
+        for pts in random_triangles(12, rng):
+            self.check(Triangle(*map(tuple, pts)), rng.uniform(-1, 1, 15))
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 3.0])
+    def test_needles(self, alpha):
+        rng = np.random.default_rng(37)
+        for k in range(1, 5):
+            self.check(needle_triangle(2.0 ** -k, alpha), rng.uniform(-1, 1, 15))
+
+    def test_right_slivers(self):
+        rng = np.random.default_rng(41)
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            self.check(Triangle((0, 0), (1, 0), (0, eps)), rng.uniform(-1, 1, 15))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.one_of(
+        _random_triangles(),
+        st.builds(needle_triangle, st.floats(1e-2, 1.0), st.floats(1.2, 6.0)),
+        st.builds(lambda eps, s: Triangle((0, 0), (1, 0), (s, eps)),
+                  st.floats(1e-12, 1e-3), st.floats(-0.5, 1.5)),
+    ),
+    st.sampled_from(["sinsin", "expxy", "x3y", "poly:1,-2,0.5,3,0,-1,0.25,2,-3,1"]),
+)
+def test_triangle_path_equals_mesh_path(tri, name):
+    v = get_field(name)
+    rule = make_rule(6)
+    rep = error_report(tri, v, 2.0, rule=rule)
+    mesh = single_triangle_mesh(tri)
+    semi, full = interpolation_h1_error(mesh, v, rule)
+    assert semi == pytest.approx(rep.err_1p, rel=1e-14, abs=0.0)
+    assert full == pytest.approx(rep.err_full, rel=1e-14, abs=0.0)
+    assert hessian_seminorm(mesh, v, rule) == pytest.approx(rep.semi_2p, rel=1e-14, abs=0.0)
 
 
 class TestNeedleStudy:
