@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -22,8 +23,8 @@ from .errors import DegenerateTriangle, InconsistentSpec, NoConvergence
 from .fields import ScalarField, neg_laplacian
 from .geometry import signed_area
 from .mesh import Mesh, stats
-from .quadrature import (QuadratureRule, lp_power, make_rule, p1_values,
-                         physical_points, seminorm_power)
+from .quadrature import (QuadratureRule, hessian_lp_power, lp_power, make_rule,
+                         p1_values, physical_points)
 
 LOAD_QUAD_DEGREE = 4
 ERROR_QUAD_DEGREE = 6
@@ -167,46 +168,108 @@ def interpolant_values(mesh: Mesh, u: ScalarField) -> np.ndarray:
     return np.asarray(u.value(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
 
 
-def p1_error_power(pts, nodal, v: ScalarField, p: float,
-                   rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """(|v - u_h|_{0,p}^p, |v - u_h|_{1,p}^p) on each triangle of a (..., 3, 2)
-    vertex array, where u_h is the P1 function with vertex values ``nodal``
-    (..., 3), on the points of ``rule``; at p = inf the maxima over them.
-    Evaluates v's value and gradient once each, never its Hessian."""
-    if v.grad is None:
-        raise InconsistentSpec(f"{v.name} has no gradient evaluators")
-    _, gx, gy = _element_geometry(pts)
-    x, y, w = physical_points(rule, pts)
-    ev = np.asarray(v.value(x, y), dtype=float)
-    ex, ey = v.grad(x, y)
-    return (lp_power(w, p, [ev - p1_values(rule, nodal)]),
-            lp_power(w, p, [ex - (nodal * gx).sum(axis=-1), ey - (nodal * gy).sum(axis=-1)]))
+class FieldAtRule:
+    """A field on the triangles of a (..., 3, 2) vertex array at the points
+    of one rule: element geometry, the physical points and the field's
+    value, gradient and Hessian there, each computed at most once, on first
+    use."""
+
+    def __init__(self, pts, field: ScalarField, rule: QuadratureRule):
+        self.pts = pts
+        self.field = field
+        self.rule = rule
+
+    @cached_property
+    def geometry(self):
+        return _element_geometry(self.pts)
+
+    @cached_property
+    def points(self):
+        return physical_points(self.rule, self.pts)
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        x, y, _ = self.points
+        return np.asarray(self.field.value(x, y), dtype=float)
+
+    def _derivative(self, kind: str):
+        fn = getattr(self.field, kind)
+        if fn is None:
+            what = {"grad": "gradient evaluators", "hess": "Hessian"}[kind]
+            raise InconsistentSpec(f"{self.field.name} has no {what}")
+        x, y, _ = self.points
+        return fn(x, y)
+
+    @cached_property
+    def grad(self):
+        return self._derivative("grad")
+
+    @cached_property
+    def hess(self):
+        return self._derivative("hess")
+
+    def error_power(self, nodal, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(|v - u_h|_{0,p}^p, |v - u_h|_{1,p}^p) on each triangle, where
+        u_h is the P1 function with vertex values ``nodal`` (..., 3); at
+        p = inf the maxima over the rule points."""
+        ex, ey = self.grad
+        _, gx, gy = self.geometry
+        w = self.points[2]
+        return (lp_power(w, p, [self.value - p1_values(self.rule, nodal)]),
+                lp_power(w, p, [ex - (nodal * gx).sum(axis=-1), ey - (nodal * gy).sum(axis=-1)]))
+
+    def hessian_power(self, p: float) -> np.ndarray:
+        """|v|_{2,p}^p on each triangle (the max at p = inf)."""
+        return hessian_lp_power(self.points[2], p, self.hess)
 
 
-def h1_error(mesh: Mesh, nodal: np.ndarray, exact: ScalarField,
+class MeshErrorContext(FieldAtRule):
+    """``FieldAtRule`` for the elements of a mesh (by default at the
+    degree-6 error rule), plus the field's values at the mesh vertices.
+    The error functionals below take it in place of their field, so that
+    one study row evaluates the exact field once per evaluator."""
+
+    def __init__(self, mesh: Mesh, field: ScalarField,
+                 rule: QuadratureRule | None = None):
+        super().__init__(mesh.element_coords(), field,
+                         rule or make_rule(ERROR_QUAD_DEGREE))
+        self.mesh = mesh
+
+    @cached_property
+    def nodal(self) -> np.ndarray:
+        return interpolant_values(self.mesh, self.field)
+
+
+def _context(mesh: Mesh, u, rule: QuadratureRule | None) -> MeshErrorContext:
+    if not isinstance(u, MeshErrorContext):
+        return MeshErrorContext(mesh, u, rule)
+    if u.mesh is not mesh or (rule is not None and rule is not u.rule):
+        raise InconsistentSpec("the error context belongs to another mesh or rule")
+    return u
+
+
+def h1_error(mesh: Mesh, nodal: np.ndarray, exact,
              rule: QuadratureRule | None = None) -> tuple[float, float]:
     """(H1-seminorm error, full H1-norm error) of a nodal P1 function
-    against ``exact``, accumulated in element-index order."""
-    if rule is None:
-        rule = make_rule(ERROR_QUAD_DEGREE)
-    l22, semi2 = (float(np.add.reduce(e)) for e in p1_error_power(
-        mesh.element_coords(), nodal[mesh.triangles], exact, 2.0, rule))
+    against ``exact`` (a field or a ``MeshErrorContext`` of this mesh),
+    accumulated in element-index order."""
+    l22, semi2 = (float(np.add.reduce(e)) for e in _context(mesh, exact, rule).error_power(
+        nodal[mesh.triangles], 2.0))
     return math.sqrt(semi2), math.sqrt(semi2 + l22)
 
 
-def hessian_seminorm(mesh: Mesh, u: ScalarField,
-                     rule: QuadratureRule | None = None) -> float:
-    """|u|_{2,2} over the meshed domain (weight-2 mixed term)."""
-    if rule is None:
-        rule = make_rule(ERROR_QUAD_DEGREE)
-    return math.sqrt(float(np.add.reduce(
-        seminorm_power(u, 2, 2.0, mesh.element_coords(), rule))))
+def hessian_seminorm(mesh: Mesh, u, rule: QuadratureRule | None = None) -> float:
+    """|u|_{2,2} over the meshed domain (weight-2 mixed term); u is a field
+    or a ``MeshErrorContext`` of this mesh."""
+    return math.sqrt(float(np.add.reduce(_context(mesh, u, rule).hessian_power(2.0))))
 
 
-def interpolation_h1_error(mesh: Mesh, u: ScalarField,
+def interpolation_h1_error(mesh: Mesh, u,
                            rule: QuadratureRule | None = None) -> tuple[float, float]:
-    """Mesh-wide H1 interpolation error |u - I_h u| (seminorm, full norm)."""
-    return h1_error(mesh, interpolant_values(mesh, u), exact=u, rule=rule)
+    """Mesh-wide H1 interpolation error |u - I_h u| (seminorm, full norm);
+    u is a field or a ``MeshErrorContext`` of this mesh."""
+    ctx = _context(mesh, u, rule)
+    return h1_error(mesh, ctx.nodal, ctx)
 
 
 @dataclass(frozen=True)
@@ -271,9 +334,10 @@ def cea_study(mesh_factory, ns, exact: ScalarField, rel_tol: float = 1e-10,
     rows = []
     for level, n in enumerate(ns):
         mesh = mesh_factory(n)
+        ctx = MeshErrorContext(mesh, exact)
         # relative to the field's size: rounding leaves about 1e-16 of it at
         # boundary vertices where it vanishes analytically
-        nodal = np.abs(interpolant_values(mesh, exact))
+        nodal = np.abs(ctx.nodal)
         off = float(np.max(nodal[mesh.boundary], initial=0.0))
         if off > 1e-12 * float(np.max(nodal)):
             raise InconsistentSpec(
@@ -282,9 +346,9 @@ def cea_study(mesh_factory, ns, exact: ScalarField, rel_tol: float = 1e-10,
             )
         st = stats(mesh)
         sol = solve_poisson(mesh, f, rel_tol=rel_tol)
-        semi_err, norm_err = h1_error(mesh, sol.values, exact)
-        interp_err, _ = interpolation_h1_error(mesh, exact)
-        semi22 = hessian_seminorm(mesh, exact)
+        semi_err, norm_err = h1_error(mesh, sol.values, ctx)
+        interp_err, _ = interpolation_h1_error(mesh, ctx)
+        semi22 = hessian_seminorm(mesh, ctx)
         rows.append(
             CeaRow(
                 level=level,

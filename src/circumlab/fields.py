@@ -8,13 +8,13 @@ coefficients in graded order (degree by degree, x-power decreasing).
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import UnknownField
 
@@ -66,32 +66,67 @@ def _coeff_matrix(coeffs: list[float]) -> np.ndarray:
     return c
 
 
+# points per block of the polynomial evaluator, so that a block's table of
+# y-powers stays in cache
+_BLOCK = 8192
+
+
+def _polyval(c: np.ndarray, x, y):
+    """sum c[i, j] x^i y^j on x and y of any (broadcast) shape.
+
+    Per block of points, a table of the powers of y contracted with c gives
+    the coefficient of each power of x, and Horner's rule in x sums them.
+    A scalar input gives a numpy scalar.
+    """
+    nx, ny = c.shape
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    xf, yf = x.ravel(), y.ravel()
+    out = np.empty(xf.size)
+    for s in range(0, xf.size, _BLOCK):
+        xs, ys = xf[s:s + _BLOCK], yf[s:s + _BLOCK]
+        yp = np.empty((ny, xs.size))
+        yp[0] = 1.0
+        for j in range(1, ny):
+            np.multiply(yp[j - 1], ys, out=yp[j])
+        q = c @ yp  # q[i]: the coefficient of x^i
+        acc = out[s:s + _BLOCK]
+        acc[:] = q[nx - 1]
+        for i in range(nx - 2, -1, -1):
+            acc *= xs
+            acc += q[i]
+    return out.reshape(x.shape)[()]
+
+
+def _polyvals(cs, x, y) -> tuple:
+    return tuple(_polyval(c, x, y) for c in cs)
+
+
+def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
+    """Power matrix of the x (axis 0) or y (axis 1) derivative of the
+    polynomial of total degree n - 1 with n x n power matrix c; the
+    derivative has degree n - 2, so its matrix is (n - 1) x (n - 1), and
+    1 x 1 zero for a constant."""
+    n = len(c)
+    if n == 1:
+        return np.zeros((1, 1))
+    k = np.arange(1, n)
+    return c[1:, :-1] * k[:, None] if axis == 0 else c[:-1, 1:] * k
+
+
 def polynomial_field(coeffs, name: str | None = None) -> ScalarField:
     """Polynomial sum c_ij x^i y^j from graded coefficients c00,c10,c01,..."""
     coeffs = [float(v) for v in coeffs]
     c = _coeff_matrix(coeffs)
-    cx = npoly.polyder(c, axis=0)
-    cy = npoly.polyder(c, axis=1)
-    cxx = npoly.polyder(cx, axis=0)
-    cxy = npoly.polyder(cx, axis=1)
-    cyy = npoly.polyder(cy, axis=1)
-
-    def value(x, y, _c=c):
-        return npoly.polyval2d(x, y, _c)
-
-    def grad(x, y, _cx=cx, _cy=cy):
-        return npoly.polyval2d(x, y, _cx), npoly.polyval2d(x, y, _cy)
-
-    def hess(x, y, _cxx=cxx, _cxy=cxy, _cyy=cyy):
-        return (
-            npoly.polyval2d(x, y, _cxx),
-            npoly.polyval2d(x, y, _cxy),
-            npoly.polyval2d(x, y, _cyy),
-        )
-
+    cx, cy = _derivative(c, 0), _derivative(c, 1)
+    hess = (_derivative(cx, 0), _derivative(cx, 1), _derivative(cy, 1))
     if name is None:
         name = "poly:" + ",".join(repr(v) for v in coeffs)
-    return ScalarField(name=name, value=value, grad=grad, hess=hess,
+    return ScalarField(name=name, value=functools.partial(_polyval, c),
+                       grad=functools.partial(_polyvals, (cx, cy)),
+                       hess=functools.partial(_polyvals, hess),
                        degree=c.shape[0] - 1)
 
 

@@ -84,16 +84,21 @@ def edge_lengths_and_area(pts):
 
 
 def _below_area_floor(pts):
-    """The degeneracy test for a (..., 3, 2) array: true unless
-    S > AREA_FLOOR * h_K^2 and S^2, the highest power of the size that C(K)
-    forms, is a normal, finite float; every intermediate of the metrics is
-    then normal and finite too.  Also true for coincident vertices
-    (S = h_K = 0) and non-finite ones."""
+    """The degeneracy test for a (..., 3, 2) array: ``_degenerate`` of its
+    edge lengths and areas."""
     with np.errstate(over="ignore"):  # an overflow is what this detects
-        A, B, C, S = edge_lengths_and_area(pts)
+        return _degenerate(*edge_lengths_and_area(pts))
+
+
+def _degenerate(A, B, C, S):
+    """True unless S > AREA_FLOOR * h_K^2 and S^2, the highest power of the
+    size that C(K) forms, is a normal, finite float; every intermediate of
+    the metrics is then normal and finite too.  Also true for coincident
+    vertices (S = h_K = 0) and non-finite ones."""
+    with np.errstate(over="ignore"):  # an overflow is what this detects
         h = np.maximum(np.maximum(A, B), C)
         S2 = S * S
-    return ~((S > AREA_FLOOR * h * h) & (S2 >= np.finfo(float).tiny) & (S2 < np.inf))
+        return ~((S > AREA_FLOOR * h * h) & (S2 >= np.finfo(float).tiny) & (S2 < np.inf))
 
 
 def reference_triangle() -> Triangle:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, InvalidFamily
-from .fem import _element_geometry, p1_error_power
+from .fem import FieldAtRule, _element_geometry
 from .fields import ScalarField
 from .geometry import Triangle, TriangleMetrics, metrics, needle_triangle
-from .quadrature import QuadratureRule, adaptive_values, lp_root, seminorm_power
+from .quadrature import QuadratureRule, adaptive_values, lp_root
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,9 @@ def error_report(
     nodal, cx, cy = _interpolant(pts, v)
 
     def evaluate(r):
-        e0, e1 = p1_error_power(pts, nodal, v, p, r)
-        return [lp_root(e, p) for e in (e0, e1, seminorm_power(v, 2, p, pts, r))]
+        at_rule = FieldAtRule(pts, v, r)
+        e0, e1 = at_rule.error_power(nodal, p)
+        return [lp_root(e, p) for e in (e0, e1, at_rule.hessian_power(p))]
 
     if rule is not None and not math.isinf(p):
         err_0p, err_1p, semi_2p = evaluate(rule)

@@ -9,13 +9,15 @@ triangulation of the curved domain |x-y|^(3/2) + |x+y|^(3/2) < 2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
-from .geometry import Triangle, edge_lengths_and_area, shape_quantities, signed_area
+from .geometry import (AREA_FLOOR, Triangle, _degenerate, edge_lengths_and_area,
+                       shape_quantities, signed_area)
 
 
 @dataclass
@@ -79,10 +81,27 @@ class MeshStats:
         }
 
 
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the (n, m) integer array ``keys`` sorted stably into groups
+    of equal rows: (order, rank), where order[q] is the row at sorted
+    position q and rank[q] how many equal rows come before it in row
+    order."""
+    order = np.lexsort(keys.T[::-1])
+    s = keys[order]
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = np.any(s[1:] != s[:-1], axis=1)
+    pos = np.arange(len(s))
+    return order, pos - np.maximum.accumulate(np.where(first, pos, 0))
+
+
 def validate(mesh: Mesh) -> None:
     """Raise on non-positive elements, duplicate triangles, over-shared or
     mis-flagged edges; boundary flags must mark exactly the vertices of
-    edges used by a single triangle."""
+    edges used by a single triangle.
+
+    Of the duplicate-triangle and over-shared-edge faults, the one reported
+    is the first met when the elements are taken in index order, each
+    checked for duplication before its edges (i, j), (j, l), (l, i)."""
     areas = signed_area(mesh.element_coords())
     if len(areas):
         k = int(np.argmin(areas))
@@ -90,28 +109,35 @@ def validate(mesh: Mesh) -> None:
             raise DegenerateTriangle(
                 f"element {k} has non-positive area {areas[k]:.3e}"
             )
-    if mesh.triangles.size and int(mesh.triangles.max()) >= mesh.n_vertices:
+    t = mesh.triangles
+    if t.size and int(t.max()) >= mesh.n_vertices:
         raise NonConforming("triangle references a missing vertex")
 
-    seen: dict[tuple[int, int], int] = {}
-    edge_use: dict[tuple[int, int], int] = {}
-    for k, (i, j, l) in enumerate(mesh.triangles):
-        key = tuple(sorted((int(i), int(j), int(l))))
-        if key in seen:
-            raise NonConforming(
-                f"elements {seen[key]} and {k} are the same triangle {key}"
-            )
-        seen[key] = k
-        for a, b in ((i, j), (j, l), (l, i)):
-            e = (int(min(a, b)), int(max(a, b)))
-            edge_use[e] = edge_use.get(e, 0) + 1
-            if edge_use[e] > 2:
-                raise NonConforming(f"edge {e} shared by more than two triangles")
+    nt = len(t)
+    order, rank = _groups(np.sort(t, axis=1))
+    dup = np.flatnonzero(rank > 0)  # sorted positions of repeated elements
+    k_dup = int(order[dup].min()) if len(dup) else nt
+    # edge 3k + m is edge m of element k, stored as (min, max)
+    edges = np.sort(t[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+    e_order, e_rank = _groups(edges)
+    third = e_order[e_rank == 2]
+    q = int(third.min()) if len(third) else 3 * nt
+    if k_dup < nt and k_dup <= q // 3:
+        at = dup[np.argmin(order[dup])]
+        first = int(order[at - rank[at]])
+        key = tuple(int(v) for v in np.sort(t[k_dup]))
+        raise NonConforming(
+            f"elements {first} and {k_dup} are the same triangle {key}"
+        )
+    if q < 3 * nt:
+        e = tuple(int(v) for v in edges[q])
+        raise NonConforming(f"edge {e} shared by more than two triangles")
+
+    # an edge whose group has one member (rank 0, and no rank 1 after it)
+    single = np.ones(len(edges), dtype=bool)
+    single[:-1] = e_rank[1:] == 0
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    for (a, b), cnt in edge_use.items():
-        if cnt == 1:
-            on_boundary[a] = True
-            on_boundary[b] = True
+    on_boundary[edges[e_order[(e_rank == 0) & single]].ravel()] = True
     if not np.array_equal(on_boundary, mesh.boundary):
         k = int(np.argmax(on_boundary != mesh.boundary))
         raise NonConforming(
@@ -122,13 +148,23 @@ def validate(mesh: Mesh) -> None:
 
 def stats(mesh: Mesh) -> MeshStats:
     """Per-element ``shape_quantities`` folded with order-independent
-    max/min."""
+    max/min.  Raises DegenerateTriangle on the first element with a
+    non-positive area or one that the geometry's degeneracy test rejects
+    (area below the floor, or outside the float64 range)."""
     p = mesh.element_coords()
     s = signed_area(p)
-    if np.any(s <= 0.0):
-        k = int(np.argmax(s <= 0.0))
-        raise DegenerateTriangle(f"element {k} has non-positive area {s[k]:.3e}")
-    h, rho, rk, _, angles = shape_quantities(*edge_lengths_and_area(p))
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        edges = edge_lengths_and_area(p)
+    bad = (s <= 0.0) | _degenerate(*edges)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if s[k] <= 0.0:
+            raise DegenerateTriangle(f"element {k} has non-positive area {s[k]:.3e}")
+        raise DegenerateTriangle(
+            f"element {k} has area {s[k]:.3e} below floor {AREA_FLOOR:g}*h^2 "
+            "or with its square outside the normal float64 range"
+        )
+    h, rho, rk, _, angles = shape_quantities(*edges)
     angs = np.stack(angles)
     return MeshStats(
         n_vertices=mesh.n_vertices,
@@ -155,6 +191,15 @@ def _canonical_order(vertices, boundary, triangles):
     return vertices[order], np.asarray(boundary, bool)[order], tris
 
 
+def _cells(nx: int, ny: int):
+    """Lower-left, lower-right, upper-left and upper-right vertex indices of
+    the cells of an (nx + 1) x (ny + 1) vertex grid numbered row by row;
+    cell (i, j) is entry j * nx + i."""
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v00 = j * (nx + 1) + i
+    return v00, v00 + 1, v00 + nx + 1, v00 + nx + 2
+
+
 def gen_uniform(n: int) -> Mesh:
     """Unit square, n x n cells, each split along its up-diagonal."""
     if n < 1:
@@ -162,14 +207,8 @@ def gen_uniform(n: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-    idx = lambda i, j: j * (n + 1) + i
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+    v00, v10, v01, v11 = _cells(n, n)
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     bnd = (
         np.isclose(verts[:, 0], 0.0) | np.isclose(verts[:, 0], 1.0)
         | np.isclose(verts[:, 1], 0.0) | np.isclose(verts[:, 1], 1.0)
@@ -202,18 +241,13 @@ def gen_crisscross_aniso(n: int, alpha: float, force: bool = False) -> Mesh:
     ys = np.linspace(0.0, 1.0, rows + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     grid = np.column_stack([X.ravel(), Y.ravel()])
-    idx = lambda i, j: j * (n + 1) + i
-    centers = []
-    tris = []
-    c0 = len(grid)
-    for j in range(rows):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            c = c0 + len(centers)
-            centers.append((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
-            tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
-    verts = np.vstack([grid, np.array(centers)])
+    CX, CY = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]), indexing="xy")
+    centers = np.column_stack([CX.ravel(), CY.ravel()])
+    v00, v10, v01, v11 = _cells(n, rows)
+    c = len(grid) + np.arange(n * rows)  # the center of each cell
+    tris = np.stack([v00, v10, c, v10, v11, c, v11, v01, c, v01, v00, c],
+                    axis=1).reshape(-1, 3)
+    verts = np.vstack([grid, centers])
     bnd = (
         np.isclose(verts[:, 0], 0.0) | np.isclose(verts[:, 0], 1.0)
         | np.isclose(verts[:, 1], 0.0) | np.isclose(verts[:, 1], 1.0)
@@ -292,103 +326,132 @@ def single_triangle_mesh(tri: Triangle) -> Mesh:
     return Mesh(v, np.ones(3, dtype=bool), np.array([[0, 1, 2]]))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_mesh(mesh: Mesh) -> str:
     """Serialize to the line-based text format (17 significant digits)."""
     lines = [f"vertices {mesh.n_vertices}"]
-    for (x, y), flag in zip(mesh.vertices, mesh.boundary):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {1 if flag else 0}")
+    lines += map("{:.17g} {:.17g} {:d}".format, mesh.vertices[:, 0].tolist(),
+                 mesh.vertices[:, 1].tolist(), mesh.boundary.astype(int).tolist())
     lines.append(f"triangles {mesh.n_triangles}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
+    lines += map("{} {} {}".format, *mesh.triangles.T.tolist())
     return "\n".join(lines) + "\n"
 
 
-def read_mesh(text: str) -> Mesh:
-    """Parse the text format; validates conformity, reorients clockwise
-    triangles (noted in mesh.warnings)."""
-    raw = text.splitlines()
-    items = []  # (line_number, payload)
-    for ln, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            items.append((ln, body))
-    pos = 0
-
-    def take(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(items):
-            last = items[-1][0] if items else 0
-            raise ParseError(last + 1, f"unexpected end of file, wanted {what}")
-        out = items[pos]
-        pos += 1
-        return out
-
-    ln, head = take("'vertices N'")
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise ParseError(ln, f"expected 'vertices N', got {head!r}")
+def _vertex_line(ln: int, body: str) -> tuple[float, float, int]:
+    parts = body.split()
+    if len(parts) != 3:
+        raise ParseError(ln, f"expected 'x y flag', got {body!r}")
     try:
-        nv = int(parts[1])
+        x, y, flag = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ParseError(ln, f"bad vertex count {parts[1]!r}") from None
-    if nv < 0:
-        raise ParseError(ln, f"bad vertex count {parts[1]!r}")
+        raise ParseError(ln, f"bad vertex entry {body!r}") from None
+    if flag not in (0, 1):
+        raise ParseError(ln, f"flag must be 0 or 1, got {parts[2]!r}")
+    return x, y, flag
 
-    verts = []
-    flags = []
-    for _ in range(nv):
-        ln, body = take("a vertex line 'x y flag'")
-        parts = body.split()
-        if len(parts) != 3:
-            raise ParseError(ln, f"expected 'x y flag', got {body!r}")
-        try:
-            xy = (float(parts[0]), float(parts[1]))
-            flag = int(parts[2])
-        except ValueError:
-            raise ParseError(ln, f"bad vertex entry {body!r}") from None
-        if flag not in (0, 1):
-            raise ParseError(ln, f"flag must be 0 or 1, got {parts[2]!r}")
-        verts.append(xy)
-        flags.append(flag == 1)
 
-    ln, head = take("'triangles M'")
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "triangles":
-        raise ParseError(ln, f"expected 'triangles M', got {head!r}")
-    try:
-        nt = int(parts[1])
-    except ValueError:
-        raise ParseError(ln, f"bad triangle count {parts[1]!r}") from None
-    if nt < 0:
-        raise ParseError(ln, f"bad triangle count {parts[1]!r}")
-
-    tris = []
-    tri_lines = []
-    for _ in range(nt):
-        ln, body = take("a triangle line 'i j k'")
+def _triangle_line(nv: int):
+    def parse(ln: int, body: str) -> tuple[int, int, int]:
         parts = body.split()
         if len(parts) != 3:
             raise ParseError(ln, f"expected 'i j k', got {body!r}")
         try:
-            idx = [int(p) for p in parts]
+            idx = tuple(int(p) for p in parts)
         except ValueError:
             raise ParseError(ln, f"bad triangle entry {body!r}") from None
         if min(idx) < 0 or max(idx) >= nv:
             raise ParseError(ln, f"vertex index out of range in {body!r}")
-        tris.append(idx)
-        tri_lines.append(ln)
-    if pos != len(items):
-        raise ParseError(items[pos][0], "trailing content after triangle list")
+        return idx
 
-    verts = np.array(verts, dtype=float).reshape(nv, 2)
-    tris = np.array(tris, dtype=np.int64).reshape(nt, 3)
+    return parse
+
+
+def _columns(bodies: list[str], dtypes, accept) -> list[np.ndarray]:
+    """The three whitespace-separated columns of the lines ``bodies``,
+    converted by numpy, which parses strings as float() and int() do.
+
+    Raises ValueError unless every line has three entries, each converts
+    and ``accept`` holds for the columns; the caller then parses line by
+    line to report the first fault.  Lines are joined around a ';' token,
+    which converts to no number, so the ';' tokens sit at every fourth
+    place exactly when each line holds three tokens."""
+    if not bodies:
+        return [np.zeros(0, dtype=d) for d in dtypes]
+    toks = " ; ".join(bodies).split()
+    if len(toks) != 4 * len(bodies) - 1 or toks[3::4].count(";") != len(bodies) - 1:
+        raise ValueError("not three entries per line")
+    del toks[3::4]
+    cols = [np.array(toks[c::3], dtype=d) for c, d in enumerate(dtypes)]
+    if not accept(*cols):
+        raise ValueError("entry out of range")
+    return cols
+
+
+def _section(lns, bodies, start: int, count: int, what: str, parse_line,
+             dtypes, accept) -> list[np.ndarray]:
+    """Columns of the ``count`` content lines from ``start``, by
+    ``_columns``; on a fault, ``parse_line`` on each line in turn raises the
+    first ParseError, and a short section ends in an end-of-file error."""
+    lines = bodies[start:start + count]
+    if len(lines) == count:
+        try:
+            return _columns(lines, dtypes, accept)
+        except (ValueError, OverflowError):
+            pass
+    rows = [parse_line(ln, b) for ln, b in zip(lns[start:start + count], lines)]
+    if len(rows) < count:
+        raise ParseError(lns[-1] + 1, f"unexpected end of file, wanted {what}")
+    return [np.array(col, dtype=d) for col, d in zip(zip(*rows), dtypes)]
+
+
+def _count_line(lns, bodies, pos: int, header: str, noun: str) -> int:
+    """The count of the header line ('vertices N' or 'triangles M') at
+    content line ``pos``."""
+    if pos >= len(bodies):
+        last = lns[-1] if lns else 0
+        raise ParseError(last + 1, f"unexpected end of file, wanted '{header}'")
+    ln, head = lns[pos], bodies[pos]
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != header.split()[0]:
+        raise ParseError(ln, f"expected '{header}', got {head!r}")
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise ParseError(ln, f"bad {noun} count {parts[1]!r}") from None
+    if count < 0:
+        raise ParseError(ln, f"bad {noun} count {parts[1]!r}")
+    return count
+
+
+def read_mesh(text: str) -> Mesh:
+    """Parse the text format; validates conformity, reorients clockwise
+    triangles (noted in mesh.warnings).  Errors name the 1-based line."""
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.split("#", 1)[0] for line in raw]
+    bodies = [line.strip() for line in raw]
+    nonempty = list(map(bool, bodies))
+    lns = (np.flatnonzero(nonempty) + 1).tolist()  # line of each content line
+    if len(lns) < len(bodies):
+        bodies = list(itertools.compress(bodies, nonempty))
+
+    nv = _count_line(lns, bodies, 0, "vertices N", "vertex")
+    x, y, flags = _section(lns, bodies, 1, nv, "a vertex line 'x y flag'",
+                           _vertex_line, (float, float, np.int64),
+                           lambda x, y, f: ((f == 0) | (f == 1)).all())
+    nt = _count_line(lns, bodies, 1 + nv, "triangles M", "triangle")
+    tris = np.column_stack(_section(
+        lns, bodies, 2 + nv, nt, "a triangle line 'i j k'", _triangle_line(nv),
+        (np.int64,) * 3,
+        lambda *cols: all(((c >= 0) & (c < nv)).all() for c in cols))).reshape(nt, 3)
+    pos = 2 + nv + nt
+    if pos != len(bodies):
+        raise ParseError(lns[pos], "trailing content after triangle list")
+
+    verts = np.column_stack([x, y]).reshape(nv, 2)
     clockwise = np.flatnonzero(signed_area(verts[tris]) < 0.0)
     tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    tri_lines = lns[2 + nv:]
     warnings = [f"line {tri_lines[k]}: clockwise triangle reoriented" for k in clockwise]
-    mesh = Mesh(verts, flags, tris, warnings=warnings)
+    mesh = Mesh(verts, flags == 1, tris, warnings=warnings)
     validate(mesh)
     return mesh

@@ -17,6 +17,7 @@ the essential sup that never decreases under grid refinement).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +39,21 @@ class QuadratureRule:
 
 
 def make_rule(degree: int) -> QuadratureRule:
-    """Rule exact to ``degree`` on the reference triangle; 1 <= degree <= 30."""
+    """Rule exact to ``degree`` on the reference triangle; 1 <= degree <= 30.
+    Each degree is built once; its arrays are read-only, so every caller
+    shares them."""
     if not (1 <= degree <= MAX_DEGREE):
         raise UnsupportedDegree(f"degree {degree} outside [1, {MAX_DEGREE}]")
+    return _gauss_rule(degree)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.cache
+def _gauss_rule(degree: int) -> QuadratureRule:
     nu = (degree + 3) // 2  # u-degree rises by 1 through the Jacobian factor
     nw = (degree + 2) // 2
     xu, wu = np.polynomial.legendre.leggauss(nu)
@@ -53,6 +66,7 @@ def make_rule(degree: int) -> QuadratureRule:
     y = (W * (1.0 - U)).ravel()
     wt = (0.25 * WU * WW * (1.0 - U)).ravel()
     pts = np.column_stack([1.0 - x - y, x, y])
+    _read_only(pts, wt)
     return QuadratureRule(degree=degree, points=pts, weights=wt)
 
 
@@ -120,23 +134,36 @@ def seminorm_power(expr, m: int, p: float, pts, rule: QuadratureRule) -> np.ndar
         kind = ("gradient", "Hessian")[m - 1]
         raise InconsistentSpec(f"{getattr(expr, 'name', expr)} has no {kind}")
     d = fn(x, y)
-    return lp_power(w, p, d) if m == 1 else lp_power(w, p, (d[0], d[2], d[1]), (1.0, 1.0, 2.0))
+    return lp_power(w, p, d) if m == 1 else hessian_lp_power(w, p, d)
+
+
+def hessian_lp_power(w, p: float, h) -> np.ndarray:
+    """``lp_power`` of a Hessian (u_xx, u_xy, u_yy), the mixed term
+    weighted 2."""
+    return lp_power(w, p, (h[0], h[2], h[1]), (1.0, 1.0, 2.0))
 
 
 def barycentric_grid(subdiv: int) -> np.ndarray:
-    """Uniform barycentric sample grid; nested under subdiv doubling."""
-    pts = []
-    for i in range(subdiv + 1):
-        for j in range(subdiv + 1 - i):
-            pts.append((1.0 - (i + j) / subdiv, i / subdiv, j / subdiv))
-    return np.array(pts)
+    """Uniform barycentric sample grid; nested under subdiv doubling.
+    Rows run over i = 0..subdiv, then j = 0..subdiv - i, and hold
+    (1 - (i + j)/subdiv, i/subdiv, j/subdiv)."""
+    if subdiv < 1:
+        raise UnsupportedDegree(f"grid subdivision {subdiv} below 1")
+    counts = np.arange(subdiv + 1, 0, -1)
+    i = np.repeat(np.arange(subdiv + 1), counts)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.column_stack([1.0 - (i + j) / subdiv, i / subdiv, j / subdiv])
 
 
+@functools.cache
 def sup_rule(subdiv: int) -> QuadratureRule:
     """The barycentric grid as a rule for p = inf, where ``lp_power`` takes
-    a max over the points and ignores the weights."""
+    a max over the points and ignores the weights; built once per
+    ``subdiv``, with read-only arrays."""
     pts = barycentric_grid(subdiv)
-    return QuadratureRule(degree=0, points=pts, weights=np.zeros(len(pts)))
+    wt = np.zeros(len(pts))
+    _read_only(pts, wt)
+    return QuadratureRule(degree=0, points=pts, weights=wt)
 
 
 def seminorm(

@@ -3,8 +3,9 @@
 Everything here is deliberately slow and simple: exact rational monomial
 integrals over an arbitrary triangle via affine pullback and the factorial
 formula, and an exact-arithmetic eigensolve route for the quotient
-estimates built on a raw monomial basis.  These never share code with the
-library paths they check.
+estimates built on a raw monomial basis, and the element-by-element loop
+that mesh validation was first written as.  These never share code with
+the library paths they check.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+
+from circumlab.errors import DegenerateTriangle, NonConforming
 
 FACT = [math.factorial(k) for k in range(80)]
 
@@ -207,3 +210,41 @@ def interpolation_error_sq(coeffs, vertices) -> tuple[Fraction, Fraction, Fracti
         integral(_poly_mul(vxx, vxx)) + integral(_poly_mul(vyy, vyy))
         + 2 * integral(_poly_mul(vxy, vxy)),
     )
+
+
+def validate_loop(mesh) -> None:
+    """Mesh validation as a loop over elements with dictionaries of seen
+    triangles and edge counts; raises what ``circumlab.mesh.validate`` must
+    raise, with the same message."""
+    p = mesh.vertices[mesh.triangles]
+    areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    if len(areas):
+        k = int(np.argmin(areas))
+        if areas[k] <= 0.0:
+            raise DegenerateTriangle(f"element {k} has non-positive area {areas[k]:.3e}")
+    if mesh.triangles.size and int(mesh.triangles.max()) >= len(mesh.vertices):
+        raise NonConforming("triangle references a missing vertex")
+    seen: dict[tuple[int, int, int], int] = {}
+    edge_use: dict[tuple[int, int], int] = {}
+    for k, (i, j, l) in enumerate(mesh.triangles):
+        key = tuple(sorted((int(i), int(j), int(l))))
+        if key in seen:
+            raise NonConforming(f"elements {seen[key]} and {k} are the same triangle {key}")
+        seen[key] = k
+        for a, b in ((i, j), (j, l), (l, i)):
+            e = (int(min(a, b)), int(max(a, b)))
+            edge_use[e] = edge_use.get(e, 0) + 1
+            if edge_use[e] > 2:
+                raise NonConforming(f"edge {e} shared by more than two triangles")
+    on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
+    for (a, b), cnt in edge_use.items():
+        if cnt == 1:
+            on_boundary[a] = True
+            on_boundary[b] = True
+    if not np.array_equal(on_boundary, mesh.boundary):
+        k = int(np.argmax(on_boundary != mesh.boundary))
+        raise NonConforming(
+            f"vertex {k} boundary flag {bool(mesh.boundary[k])} disagrees with "
+            f"edge usage {bool(on_boundary[k])}"
+        )

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.sparse
 
 from circumlab.errors import InconsistentSpec, NoConvergence
 from circumlab.fem import (
+    MeshErrorContext,
     SparseSystem,
     assemble,
     cea_study,
@@ -21,6 +24,7 @@ from circumlab.fem import (
 from circumlab.fields import ScalarField, get_field, polynomial_field, scaled
 from circumlab.geometry import reference_triangle
 from circumlab.mesh import gen_crisscross_aniso, gen_uniform, single_triangle_mesh
+from circumlab.quadrature import make_rule
 
 SINSIN = get_field("sinsin")
 
@@ -129,7 +133,52 @@ class TestErrors:
         assert got == pytest.approx(math.pi ** 2, rel=1e-10)
 
 
+class TestErrorContext:
+    def test_context_gives_the_field_values(self):
+        mesh = gen_crisscross_aniso(4, 1.5)
+        u = get_field("sinsin")
+        ctx = MeshErrorContext(mesh, u)
+        nodal = np.linspace(0.0, 1.0, mesh.n_vertices)
+        assert h1_error(mesh, nodal, ctx) == h1_error(mesh, nodal, u)
+        assert interpolation_h1_error(mesh, ctx) == interpolation_h1_error(mesh, u)
+        assert hessian_seminorm(mesh, ctx) == hessian_seminorm(mesh, u)
+
+    def test_context_of_another_mesh_or_rule_rejected(self):
+        ctx = MeshErrorContext(gen_uniform(2), SINSIN)
+        with pytest.raises(InconsistentSpec):
+            hessian_seminorm(gen_uniform(2), ctx)
+        with pytest.raises(InconsistentSpec):
+            hessian_seminorm(ctx.mesh, ctx, rule=make_rule(8))
+
+
 class TestCeaStudy:
+    def test_exact_field_evaluated_once_per_evaluator(self):
+        # u = x(1-x) y(1-y) (1+x+2y), the generic bubble
+        bubble = polynomial_field(
+            [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, -1, -2, -2, 0, 0, 0, 1, 2, 0, 0])
+        calls = []
+
+        def counting(kind, fn):
+            def wrapper(x, y):
+                calls.append((kind, np.size(x)))
+                return fn(x, y)
+            return wrapper
+
+        u = dataclasses.replace(
+            bubble, **{k: counting(k, getattr(bubble, k)) for k in ("value", "grad", "hess")})
+        ns = [2, 4]
+        cea_study(lambda n: gen_crisscross_aniso(n, 1.5), ns, u, family="crisscross")
+        want = []
+        for n in ns:
+            m = gen_crisscross_aniso(n, 1.5)
+            at_rule = 16 * m.n_triangles  # the degree-6 error rule
+            # vertex values, then the load vector's -lap(u) on the 9-point
+            # degree-4 rule, then value, gradient and Hessian at the error rule
+            want += [("value", m.n_vertices), ("hess", 9 * m.n_triangles),
+                     ("grad", at_rule), ("value", at_rule), ("hess", at_rule)]
+        assert Counter(calls) == Counter(want)
+
+
     def test_uniform_halving_and_quotient_bound(self):
         rep = cea_study(gen_uniform, [8, 16, 32], SINSIN, family="uniform")
         errs = [r.h1_seminorm_error for r in rep.rows]

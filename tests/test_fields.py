@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,3 +111,59 @@ class TestDerived:
         f = affine_field(1.0, -2.0, 0.5)
         assert float(f.value(2.0, 1.0)) == pytest.approx(0.5 + 2.0 - 2.0)
         assert f.degree == 1
+
+
+def _graded_pairs(d):
+    return [(i, k - i) for k in range(d + 1) for i in range(k, -1, -1)]
+
+
+def _exact_terms(coeffs, pairs, ax, ay, x, y):
+    """Exact value of the (ax, ay) derivative of sum c x^i y^j at the float
+    point (x, y), and the sum of its terms' magnitudes."""
+    fx, fy = Fraction(float(x)), Fraction(float(y))
+    total, size = Fraction(0), Fraction(0)
+    for c, (i, j) in zip(coeffs, pairs):
+        if i < ax or j < ay:
+            continue
+        k = Fraction(c) * math.perm(i, ax) * math.perm(j, ay)
+        term = k * fx ** (i - ax) * fy ** (j - ay)
+        total += term
+        size += abs(term)
+    return total, size
+
+
+class TestPolynomialEvaluator:
+    @pytest.mark.parametrize("degree", range(7))
+    def test_against_exact_rationals(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        pairs = _graded_pairs(degree)
+        coeffs = rng.uniform(-1, 1, size=len(pairs))
+        f = polynomial_field(coeffs)
+        x, y = rng.uniform(-3, 3, size=(2, 40))
+        got = {(0, 0): f.value(x, y)}
+        got[1, 0], got[0, 1] = f.grad(x, y)
+        got[2, 0], got[1, 1], got[0, 2] = f.hess(x, y)
+        for (ax, ay), vals in got.items():
+            for k in range(len(x)):
+                want, size = _exact_terms(coeffs, pairs, ax, ay, x[k], y[k])
+                assert abs(Fraction(float(vals[k])) - want) <= Fraction(1e-13) * size
+
+    @pytest.mark.parametrize("shape", [(), (3,), (16, 1), (16, 7), (16, 1000)])
+    def test_shapes_preserved(self, shape):
+        # (16, 1000) spans several blocks of the evaluator
+        rng = np.random.default_rng(5)
+        f = random_polynomial(rng, 5)
+        x, y = rng.uniform(-1, 1, size=(2,) + shape)
+        flat_x, flat_y = np.ravel(x), np.ravel(y)
+        outs = [f.value(x, y), *f.grad(x, y), *f.hess(x, y)]
+        flats = [f.value(flat_x, flat_y), *f.grad(flat_x, flat_y), *f.hess(flat_x, flat_y)]
+        for out, flat in zip(outs, flats):
+            assert np.shape(out) == shape
+            assert np.array_equal(np.ravel(out), flat)
+        if shape == ():
+            assert all(isinstance(o, np.float64) for o in outs)
+
+    def test_scalar_broadcasts_against_array(self):
+        f = get_field("x2y")
+        y = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(f.value(2.0, y), 4.0 * y)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from circumlab.mesh import (
     validate,
     write_mesh,
 )
+from oracles import validate_loop
 
 
 class TestUniform:
@@ -153,6 +155,13 @@ class TestStats:
         with pytest.raises(DegenerateTriangle, match="element 0"):
             stats(mesh)
 
+    @pytest.mark.parametrize("scale", [1e-110, 1e110])
+    def test_area_outside_float_range_rejected(self, scale):
+        m = gen_uniform(2)
+        scaled = Mesh(m.vertices * scale, m.boundary, m.triangles)
+        with pytest.raises(DegenerateTriangle, match="element 0 .* float64 range"):
+            stats(scaled)
+
     def test_invariant_max_r_at_least_half_h(self):
         for m in (gen_uniform(3), gen_crisscross_aniso(3, 1.5), gen_lens(4)):
             s = stats(m)
@@ -247,3 +256,132 @@ class TestTextFormat:
         line = text.splitlines()[1]
         x = float(line.split()[0])
         assert f"{x:.17g}" == line.split()[0]
+
+
+def _outcome(check, mesh):
+    try:
+        check(mesh)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _corrupt(mesh, faults):
+    """Apply faults (kind, a, b) to copies of the mesh arrays: a duplicated
+    triangle, a third triangle on an edge, a flipped boundary flag or an
+    out-of-range vertex index; a and b pick the element, position or
+    vertex.  Out-of-range indices go in last, so that the others can
+    still look up coordinates."""
+    v, b, t = mesh.vertices.copy(), mesh.boundary.copy(), mesh.triangles.copy()
+    for kind, i, j in sorted(faults, key=lambda f: f[0] == "out_of_range"):
+        k = i % len(t)
+        if kind == "duplicate":
+            t = np.insert(t, j % (len(t) + 1), np.roll(t[k], i % 3), axis=0)
+        elif kind == "third":
+            # on edge (a, c) of element k, through a point inside it, so that
+            # the new triangle has the same orientation
+            a, c, d = np.roll(t[k], -(j % 3))
+            v = np.vstack([v, (v[d] + 0.5 * (v[a] + v[c])) / 2])
+            b = np.append(b, True)
+            t = np.insert(t, j % (len(t) + 1), [a, c, len(v) - 1], axis=0)
+        elif kind == "flip":
+            b[j % len(b)] = ~b[j % len(b)]
+        else:
+            t[k, j % 3] = len(v) + j % 2
+    return Mesh(v, b, t)
+
+
+_BASES = st.one_of(
+    st.integers(1, 4).map(gen_uniform),
+    st.integers(1, 3).map(lambda n: gen_crisscross_aniso(n, 1.5)),
+    st.integers(2, 4).map(gen_lens),
+)
+_FAULTS = st.lists(st.tuples(
+    st.sampled_from(["duplicate", "third", "flip", "out_of_range"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=3)
+
+
+class TestValidate:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_BASES, _FAULTS)
+    def test_same_outcome_as_element_loop(self, mesh, faults):
+        broken = _corrupt(mesh, faults)
+        want = _outcome(validate_loop, broken)
+        assert _outcome(validate, broken) == want
+        if not faults:
+            assert want is None
+
+    def test_first_offending_element_reported(self):
+        m = gen_uniform(2)
+        t = m.triangles
+        a, c, d = t[0, 1], t[0, 2], t[0, 0]  # (a, c) is an interior edge
+        v = np.vstack([m.vertices, (m.vertices[d] + 0.5 * (m.vertices[a] + m.vertices[c])) / 2])
+        bnd = np.append(m.boundary, True)
+        third, repeat = [a, c, 9], t[1]
+        # the third triangle on (a, c) at element 3 comes before the repeat
+        # of element 1 at element 5
+        tris = np.insert(t, [3, 4], [third, repeat], axis=0)
+        with pytest.raises(NonConforming, match=rf"edge \({min(a, c)}, {max(a, c)}\) shared"):
+            validate(Mesh(v, bnd, tris))
+        # and the other way round
+        tris = np.insert(t, [2, 4], [repeat, third], axis=0)
+        with pytest.raises(NonConforming, match=r"elements 1 and 2 are the same triangle \(0, 3, 4\)"):
+            validate(Mesh(v, bnd, tris))
+
+
+class TestParseErrorLines:
+    """A fault deep in a section, after comment lines, names its line."""
+
+    def _text(self):
+        lines = write_mesh(gen_crisscross_aniso(4, 1.5)).splitlines()
+        nv = int(lines[0].split()[1])
+        # comment lines at the top, inside each section and before a header
+        body = (["# crisscross n = 4", ""] + lines[:5] + ["# more vertices", "   "]
+                + lines[5:nv + 1] + ["# triangles follow"] + lines[nv + 1:nv + 10]
+                + ["", "# end of block"] + lines[nv + 10:])
+        return body, nv
+
+    @pytest.mark.parametrize("entry, message", [
+        ("0.25 1/8 0", "bad vertex entry '0.25 1/8 0'"),
+        ("0.25 0.125 2", "flag must be 0 or 1, got '2'"),
+    ])
+    def test_vertex_section(self, entry, message):
+        body, nv = self._text()
+        # vertex 30 sits on line 2 + 1 + 4 + 2 + 26 = 35 (1-based)
+        k = body.index(f"vertices {nv}") + 1 + 4 + 2 + 25
+        body[k] = entry
+        with pytest.raises(ParseError, match=message) as exc:
+            read_mesh("\n".join(body) + "\n")
+        assert exc.value.line == k + 1 == 35
+
+    @pytest.mark.parametrize("entry, message", [
+        ("3 4.5 6", "bad triangle entry '3 4.5 6'"),
+        ("3 {nv} 6", "vertex index out of range in '3 {nv} 6'"),
+    ])
+    def test_triangle_section(self, entry, message):
+        body, nv = self._text()
+        k = len(body) - 20  # a triangle line after the comment block
+        assert len(body[k].split()) == 3 and not body[k].startswith("#")
+        body[k] = entry.format(nv=nv)
+        with pytest.raises(ParseError, match=message.format(nv=nv)) as exc:
+            read_mesh("\n".join(body) + "\n")
+        assert exc.value.line == k + 1
+
+    def test_commented_text_reads_as_plain(self):
+        body, _ = self._text()
+        got = read_mesh("\n".join(body) + "\n")
+        assert write_mesh(got) == write_mesh(gen_crisscross_aniso(4, 1.5))
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: gen_crisscross_aniso(3, 1.5),
+     "a0a59d908dae4a27c94ff959f84f86ab5b26d21f43f38cd277f81e03bddfcc40"),
+    (lambda: gen_crisscross_aniso(8, 1.5),
+     "b59e6403f57edb7c5a284b71fbb876129b25bffea523288d2721d90f3ddf96c4"),
+    (lambda: gen_uniform(5),
+     "10002f9cf5efdfc338b5ab999d5117949d8c7ea58758447b17917c6f9630c85b"),
+])
+def test_written_files_pinned(make, digest):
+    """SHA-256 of write_mesh output, taken from the element-loop generators
+    and writer that the index-arithmetic ones replaced."""
+    assert hashlib.sha256(write_mesh(make()).encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from circumlab.quadrature import (
     physical_points,
     seminorm,
     seminorm_auto,
+    sup_rule,
 )
 from oracles import monomial_integrals, reference_moment
 
@@ -154,3 +155,20 @@ class TestSeminorms:
         g1 = {tuple(p) for p in np.round(barycentric_grid(8), 12)}
         g2 = {tuple(p) for p in np.round(barycentric_grid(16), 12)}
         assert g1 <= g2
+
+    def test_barycentric_grid_order(self):
+        want = [(1.0 - (i + j) / 5, i / 5, j / 5) for i in range(6) for j in range(6 - i)]
+        assert np.array_equal(barycentric_grid(5), np.array(want))
+        with pytest.raises(UnsupportedDegree):
+            barycentric_grid(0)
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("build, arg", [(make_rule, 6), (make_rule, 30), (sup_rule, 64)])
+    def test_repeated_call_same_read_only_rule(self, build, arg):
+        rule = build(arg)
+        assert build(arg) is rule
+        for a in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert rule.points.shape[0] == rule.weights.shape[0]
