@@ -54,7 +54,8 @@ class NonConforming(CircumlabError):
 
 
 class NoConvergence(CircumlabError):
-    """Iterative solve exhausted max_iter; carries the residual history."""
+    """Iterative solve exhausted max_iter, or (with max_iter 0) its system
+    could not be factored; carries the residual history."""
 
     def __init__(self, max_iter: int, history):
         super().__init__(

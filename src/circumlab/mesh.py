@@ -95,13 +95,17 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate(mesh: Mesh) -> None:
-    """Raise on non-positive elements, duplicate triangles, over-shared or
-    mis-flagged edges; boundary flags must mark exactly the vertices of
-    edges used by a single triangle.
+    """Raise on vertex indices outside [0, n_vertices), non-positive
+    elements, duplicate triangles, over-shared or mis-flagged edges;
+    boundary flags must mark exactly the vertices of edges used by a single
+    triangle.
 
     Of the duplicate-triangle and over-shared-edge faults, the one reported
     is the first met when the elements are taken in index order, each
     checked for duplication before its edges (i, j), (j, l), (l, i)."""
+    t = mesh.triangles
+    if t.size and (int(t.min()) < 0 or int(t.max()) >= mesh.n_vertices):
+        raise NonConforming("triangle references a missing vertex")
     areas = signed_area(mesh.element_coords())
     if len(areas):
         k = int(np.argmin(areas))
@@ -109,9 +113,6 @@ def validate(mesh: Mesh) -> None:
             raise DegenerateTriangle(
                 f"element {k} has non-positive area {areas[k]:.3e}"
             )
-    t = mesh.triangles
-    if t.size and int(t.max()) >= mesh.n_vertices:
-        raise NonConforming("triangle references a missing vertex")
 
     nt = len(t)
     order, rank = _groups(np.sort(t, axis=1))

@@ -114,7 +114,9 @@ def lp_power(w, p: float, fs, weights=(1.0, 1.0, 1.0)) -> np.ndarray:
     |f_k| (no weights) for p = inf."""
     if math.isinf(p):
         return np.max([np.max(np.abs(f), axis=0) for f in fs], axis=0)
-    return (w * sum(c * np.abs(f) ** p for c, f in zip(weights, fs))).sum(axis=0)
+    # f * f is bit-identical to |f| ** 2 and makes one temporary, not two
+    terms = (f * f if p == 2.0 else np.abs(f) ** p for f in fs)
+    return (w * sum(c * t for c, t in zip(weights, terms))).sum(axis=0)
 
 
 def lp_root(power, p: float) -> float:

@@ -216,6 +216,9 @@ def validate_loop(mesh) -> None:
     """Mesh validation as a loop over elements with dictionaries of seen
     triangles and edge counts; raises what ``circumlab.mesh.validate`` must
     raise, with the same message."""
+    for tri in mesh.triangles:
+        if any(not 0 <= int(i) < len(mesh.vertices) for i in tri):
+            raise NonConforming("triangle references a missing vertex")
     p = mesh.vertices[mesh.triangles]
     areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                    - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
@@ -223,8 +226,6 @@ def validate_loop(mesh) -> None:
         k = int(np.argmin(areas))
         if areas[k] <= 0.0:
             raise DegenerateTriangle(f"element {k} has non-positive area {areas[k]:.3e}")
-    if mesh.triangles.size and int(mesh.triangles.max()) >= len(mesh.vertices):
-        raise NonConforming("triangle references a missing vertex")
     seen: dict[tuple[int, int, int], int] = {}
     edge_use: dict[tuple[int, int], int] = {}
     for k, (i, j, l) in enumerate(mesh.triangles):

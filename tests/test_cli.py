@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import scipy.sparse
 
 import circumlab.cli as cli
 import circumlab.interp as interp_mod
@@ -169,6 +170,13 @@ class TestFemCommand:
     def test_field_not_vanishing_on_boundary_exit_2(self, capsys):
         code, _ = run(capsys, "fem", "--field", "expxy", "--levels", "1", "--n0", "4")
         assert code == 2
+
+    def test_singular_system_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.fem, "stiffness_matrix",
+                            lambda mesh: scipy.sparse.csr_matrix((mesh.n_vertices,) * 2))
+        code = cli.main(["fem", "--levels", "1", "--n0", "4"])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from circumlab.errors import InconsistentSpec, NoConvergence
 from circumlab.fem import (
@@ -21,12 +22,16 @@ from circumlab.fem import (
     solve_poisson,
     stiffness_matrix,
 )
-from circumlab.fields import ScalarField, get_field, polynomial_field, scaled
+from circumlab.fields import ScalarField, get_field, neg_laplacian, polynomial_field, scaled
 from circumlab.geometry import reference_triangle
 from circumlab.mesh import gen_crisscross_aniso, gen_uniform, single_triangle_mesh
 from circumlab.quadrature import make_rule
 
 SINSIN = get_field("sinsin")
+# u = x(1-x) y(1-y) (1+x+2y), the generic bubble: unlike sinsin it is no
+# near-eigenvector of the discrete Laplacian
+BUBBLE = polynomial_field(
+    [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, -1, -2, -2, 0, 0, 0, 1, 2, 0, 0])
 
 
 class TestAssembly:
@@ -69,12 +74,29 @@ class TestSolver:
         assert x == pytest.approx(rhs, rel=1e-12)
 
     def test_residual_history_on_failure(self):
+        # one factor-preconditioned step reaches rounding level, so only a
+        # zero tolerance exhausts the iterations
         mesh = gen_uniform(8)
         sys = assemble(mesh, scaled(SINSIN, 2 * math.pi ** 2))
         with pytest.raises(NoConvergence) as exc:
-            solve_cg(sys, rel_tol=1e-10, max_iter=3)
+            solve_cg(sys, rel_tol=0.0, max_iter=3)
         assert len(exc.value.history) == 4
         assert exc.value.max_iter == 3
+
+    def test_singular_block_raises_no_convergence(self):
+        zero = scipy.sparse.csr_matrix((2, 2))
+        sys = SparseSystem(matrix=zero, rhs=np.ones(2), free=np.arange(2), n_total=2)
+        with pytest.raises(NoConvergence) as exc:
+            solve_cg(sys)
+        assert exc.value.history == [1.0]
+
+    def test_bubble_on_crisscross_in_two_steps(self):
+        sys = assemble(gen_crisscross_aniso(16, 1.5), neg_laplacian(BUBBLE))
+        x, rep = solve_cg(sys)
+        assert rep.iterations <= 2
+        assert len(rep.history) == rep.iterations + 1
+        ref = scipy.sparse.linalg.spsolve(sys.matrix.tocsc(), sys.rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_converges_within_200_iterations(self):
         mesh = gen_uniform(8)
@@ -153,9 +175,6 @@ class TestErrorContext:
 
 class TestCeaStudy:
     def test_exact_field_evaluated_once_per_evaluator(self):
-        # u = x(1-x) y(1-y) (1+x+2y), the generic bubble
-        bubble = polynomial_field(
-            [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, -1, -2, -2, 0, 0, 0, 1, 2, 0, 0])
         calls = []
 
         def counting(kind, fn):
@@ -165,7 +184,7 @@ class TestCeaStudy:
             return wrapper
 
         u = dataclasses.replace(
-            bubble, **{k: counting(k, getattr(bubble, k)) for k in ("value", "grad", "hess")})
+            BUBBLE, **{k: counting(k, getattr(BUBBLE, k)) for k in ("value", "grad", "hess")})
         ns = [2, 4]
         cea_study(lambda n: gen_crisscross_aniso(n, 1.5), ns, u, family="crisscross")
         want = []
@@ -198,6 +217,14 @@ class TestCeaStudy:
         for r in rep.rows:
             assert r.h1_seminorm_error <= r.interp_h1 * (1 + 1e-8) + 1e-12
             assert r.interp_h1 <= r.max_R_K * r.semi_22_exact * (1 + 1e-8) + 1e-12
+
+    def test_chain_inequalities_on_the_bubble(self):
+        rep = cea_study(
+            lambda n: gen_crisscross_aniso(n, 1.5), [8, 16], BUBBLE,
+            family="crisscross",
+        )
+        for r in rep.rows:
+            assert r.h1_seminorm_error <= r.interp_h1 <= r.max_R_K * r.semi_22_exact
 
     def test_crisscross_errors_decrease_while_angle_grows(self):
         rep = cea_study(

@@ -269,9 +269,9 @@ def _outcome(check, mesh):
 def _corrupt(mesh, faults):
     """Apply faults (kind, a, b) to copies of the mesh arrays: a duplicated
     triangle, a third triangle on an edge, a flipped boundary flag or an
-    out-of-range vertex index; a and b pick the element, position or
-    vertex.  Out-of-range indices go in last, so that the others can
-    still look up coordinates."""
+    out-of-range vertex index (past the end or negative); a and b pick
+    the element, position or vertex.  Out-of-range indices go in last, so
+    that the others can still look up coordinates."""
     v, b, t = mesh.vertices.copy(), mesh.boundary.copy(), mesh.triangles.copy()
     for kind, i, j in sorted(faults, key=lambda f: f[0] == "out_of_range"):
         k = i % len(t)
@@ -287,7 +287,7 @@ def _corrupt(mesh, faults):
         elif kind == "flip":
             b[j % len(b)] = ~b[j % len(b)]
         else:
-            t[k, j % 3] = len(v) + j % 2
+            t[k, j % 3] = (len(v), len(v) + 1, -1, -2)[j // 3 % 4]
     return Mesh(v, b, t)
 
 
@@ -310,6 +310,15 @@ class TestValidate:
         assert _outcome(validate, broken) == want
         if not faults:
             assert want is None
+
+    @pytest.mark.parametrize("index", [4, 17, -1, -4])
+    def test_missing_vertex_rejected(self, index):
+        # -1 would wrap round to vertex 3 and give a valid mesh
+        m = gen_uniform(1)
+        t = m.triangles.copy()
+        t[t == 3] = index
+        with pytest.raises(NonConforming, match="triangle references a missing vertex"):
+            validate(Mesh(m.vertices, m.boundary, t))
 
     def test_first_offending_element_reported(self):
         m = gen_uniform(2)
