@@ -21,6 +21,7 @@ from .errors import (
     NonConforming,
     NotApplicable,
     ParseError,
+    SingularSystem,
     UnknownField,
     UnsupportedDegree,
 )

@@ -27,10 +27,6 @@ def index_pairs(degree: int) -> list[tuple[int, int]]:
     return [(m, d - m) for d in range(degree + 1) for m in range(d + 1)]
 
 
-def pair_degrees(degree: int) -> np.ndarray:
-    return np.array([m + n for m, n in index_pairs(degree)])
-
-
 def _jac(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
     if n < 0:
         return np.zeros_like(x)

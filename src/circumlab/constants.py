@@ -7,8 +7,11 @@ Four quotients are estimated over polynomial subspaces of a triangle K:
     D:             |v|_{2,2,K} / |v|_{0,2,K},  v vanishing at the apexes
 
 Each estimate minimizes over polynomials of total degree <= N and is
-therefore an upper bound of the true infimum; the history over degrees
-4..N is non-increasing (nested subspaces).  The Babuska-Aziz constant is
+therefore an upper bound of the true infimum.  The history over degrees
+4..N is non-increasing in exact arithmetic (nested subspaces); in floating
+point it can rise on flat triangles, because the Gram matrices square the
+conditioning of the derivative matrices (until the factored engine of
+ROADMAP item 1 replaces them).  The Babuska-Aziz constant is
 the reciprocal of A_2 on the reference triangle and solves
 1/x + tan(1/x) = 0; known lower bounds for the quotients (derived from
 that constant and from the vertex-constrained second-order quotient D_2)
@@ -18,11 +21,19 @@ Gram matrices use the L2-orthonormal basis of ``_basis`` (mass = 2S * I
 exactly), assembled with quadrature whose exactness degree covers the
 polynomial integrands; constraints are reduced by a rank-revealing SVD
 null space and the symmetric-definite pencil is solved densely.
+
+Everything that does not depend on the triangle is built once per degree
+and kept as read-only arrays: the basis table at the rule points (which
+each triangle maps affinely), the constraint rows (apex values, leg
+means) and the null space of each constraint set at each sub-degree.  By
+the graded basis ordering, the degree-d subspace is the leading
+(d+1)(d+2)/2 block of the Gram matrices, so a history step slices them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +41,7 @@ import scipy.linalg
 from . import _basis
 from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
 from .geometry import CanonicalForm, Triangle, canonicalize, metrics
-from .quadrature import make_rule
+from .quadrature import _read_only, make_rule
 
 # Published approximate value of the vertex-constrained second-order
 # quotient D_2 on the reference triangle (Liu-Kikuchi): 1/0.167.
@@ -103,8 +114,9 @@ def exponent_helpers(p: float) -> ExponentHelpers:
 class QuotientEstimate:
     """Subspace upper bound of a Sobolev quotient infimum.
 
-    ``history`` holds (degree, value) for degrees 4..N; it is
-    non-increasing and ``value`` is the final entry.  ``uncertainty`` is
+    ``history`` holds (degree, value) for degrees 4..N and ``value`` is
+    the final entry.  The history is non-increasing in exact arithmetic;
+    in floating point it can rise on flat triangles.  ``uncertainty`` is
     the last convergence decrement.
     """
 
@@ -121,26 +133,84 @@ class QuotientEstimate:
         return self.history[-2][1] - self.history[-1][1]
 
 
+def _basis_size(degree: int) -> int:
+    """Dimension of the polynomials of total degree <= ``degree``; by the
+    graded ordering of ``_basis`` they are the leading block of columns."""
+    return (degree + 1) * (degree + 2) // 2
+
+
+@cache
+def _rule_table(degree: int) -> tuple[np.ndarray, dict]:
+    """Weights of the degree-``degree`` pencil's quadrature rule and the
+    basis table (values and derivatives to order 2) at its points."""
+    rule = make_rule(min(2 * degree, 30))
+    tab = _basis.tabulate(degree, rule.points[:, 1], rule.points[:, 2])
+    _read_only(*tab.values())
+    return rule.weights, tab
+
+
+@cache
+def _constraint_rows(degree: int, constraint: str) -> np.ndarray:
+    """Rows of the linear constraints on the degree-``degree`` basis:
+    ``"vertices"`` (values at the three apexes) or ``"edge1"``/``"edge2"``
+    (mean over reference leg 1 or 2)."""
+    if constraint == "vertices":
+        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        rows = _basis.tabulate(degree, ref[:, 0], ref[:, 1], order=0)["v"]
+    else:
+        # mean over reference leg 1 = (0,0)-(1,0) or leg 2 = (0,0)-(0,1);
+        # an affine pullback rescales the mean, so the zero constraint is
+        # identical in reference coordinates
+        xg, wg = np.polynomial.legendre.leggauss(degree // 2 + 2)
+        t = 0.5 * (xg + 1.0)
+        zero = np.zeros_like(t)
+        x, y = (t, zero) if constraint == "edge1" else (zero, t)
+        rows = (0.5 * wg @ _basis.tabulate(degree, x, y, order=0)["v"])[None, :]
+    _read_only(rows)
+    return rows
+
+
+@cache
+def _null_space(degree: int, constraint: str, sub_degree: int) -> np.ndarray:
+    """Orthonormal basis of the polynomials of degree <= ``sub_degree`` that
+    satisfy ``constraint``, as coefficients in the degree-``degree`` basis
+    (whose edge-mean rules depend on ``degree``)."""
+    k = _basis_size(sub_degree)
+    z = scipy.linalg.null_space(_constraint_rows(degree, constraint)[:, :k])
+    _read_only(z)
+    return z
+
+
 class _TrianglePencil:
-    """Gram matrices and constraint rows for one triangle at max degree N."""
+    """Gram matrices of one triangle at max degree N, each formed on first
+    use from the shared reference table of degree N."""
 
     def __init__(self, tri: Triangle, degree: int):
-        self.tri = tri
         self.degree = degree
-        self.degrees = _basis.pair_degrees(degree)
         v = tri.vertices
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        det = float(np.linalg.det(jac))  # = 2S > 0 for CCW triangles
-        inv = np.linalg.inv(jac)
-        i11, i12 = inv[0, 0], inv[0, 1]
-        i21, i22 = inv[1, 0], inv[1, 1]
+        self._det = float(np.linalg.det(jac))  # = 2S > 0 for CCW triangles
+        self._inv = np.linalg.inv(jac)
+        weights, self._tab = _rule_table(degree)
+        self._wc = (weights * self._det)[:, None]
 
-        rule = make_rule(min(2 * degree, 30))
-        tab = _basis.tabulate(degree, rule.points[:, 1], rule.points[:, 2])
-        w = rule.weights * det
+    @cached_property
+    def G0(self) -> np.ndarray:
+        return self._det * np.eye(_basis_size(self.degree))
 
+    @cached_property
+    def G1(self) -> np.ndarray:
+        tab, wc = self._tab, self._wc
+        (i11, i12), (i21, i22) = self._inv
         gx = i11 * tab["x"] + i21 * tab["y"]
         gy = i12 * tab["x"] + i22 * tab["y"]
+        g1 = gx.T @ (wc * gx) + gy.T @ (wc * gy)
+        return 0.5 * (g1 + g1.T)
+
+    @cached_property
+    def G2(self) -> np.ndarray:
+        tab, wc = self._tab, self._wc
+        (i11, i12), (i21, i22) = self._inv
         hxx = i11 * i11 * tab["xx"] + 2 * i11 * i21 * tab["xy"] + i21 * i21 * tab["yy"]
         hxy = (
             i11 * i12 * tab["xx"]
@@ -148,35 +218,11 @@ class _TrianglePencil:
             + i21 * i22 * tab["yy"]
         )
         hyy = i12 * i12 * tab["xx"] + 2 * i12 * i22 * tab["xy"] + i22 * i22 * tab["yy"]
-
-        wc = w[:, None]
-        self.G0 = det * np.eye(len(self.degrees))
-        g1 = gx.T @ (wc * gx) + gy.T @ (wc * gy)
         g2 = hxx.T @ (wc * hxx) + hyy.T @ (wc * hyy) + 2.0 * (hxy.T @ (wc * hxy))
-        self.G1 = 0.5 * (g1 + g1.T)
-        self.G2 = 0.5 * (g2 + g2.T)
+        return 0.5 * (g2 + g2.T)
 
     def vertex_rows(self) -> np.ndarray:
-        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tab = _basis.tabulate(self.degree, ref[:, 0], ref[:, 1], order=0)
-        return tab["v"]
-
-    def edge_mean_row(self, edge_index: int) -> np.ndarray:
-        # reference legs: edge 1 = (0,0)-(1,0), edge 2 = (0,0)-(0,1);
-        # an affine pullback rescales the mean, so the zero constraint is
-        # identical in reference coordinates
-        npts = self.degree // 2 + 2
-        xg, wg = np.polynomial.legendre.leggauss(npts)
-        t = 0.5 * (xg + 1.0)
-        w = 0.5 * wg
-        if edge_index == 1:
-            x, y = t, np.zeros_like(t)
-        elif edge_index == 2:
-            x, y = np.zeros_like(t), t
-        else:
-            raise NotApplicable(f"edge_index {edge_index} not in {{1, 2}}")
-        tab = _basis.tabulate(self.degree, x, y, order=0)
-        return w @ tab["v"]
+        return _constraint_rows(self.degree, "vertices")
 
 
 def _right_triangle_ordered(tri: Triangle, rel_tol: float = 1e-9) -> Triangle:
@@ -203,17 +249,15 @@ def _right_triangle_ordered(tri: Triangle, rel_tol: float = 1e-9) -> Triangle:
     )
 
 
-def _solve(pencil: _TrianglePencil, num: np.ndarray, den: np.ndarray,
-           constraints: np.ndarray, sub_degree: int) -> float:
-    keep = pencil.degrees <= sub_degree
-    a = num[np.ix_(keep, keep)]
-    b = den[np.ix_(keep, keep)]
-    c = constraints[:, keep]
-    z = scipy.linalg.null_space(c)
+def _solve(num: np.ndarray, den: np.ndarray, z: np.ndarray) -> float:
+    """Square root of the smallest eigenvalue of the pencil (num, den) on
+    the span of ``z``, an orthonormal basis of a constrained subspace of
+    the leading len(z) basis functions."""
+    k = len(z)
     if z.shape[1] == 0:
         raise NotApplicable("constraints eliminate the whole subspace")
-    a = z.T @ a @ z
-    b = z.T @ b @ z
+    a = z.T @ num[:k, :k] @ z
+    b = z.T @ den[:k, :k] @ z
     cond = np.linalg.cond(b)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(
@@ -231,16 +275,15 @@ def _solve(pencil: _TrianglePencil, num: np.ndarray, den: np.ndarray,
 
 
 def _estimate(tri: Triangle, kind: str, num_key: str, den_key: str,
-              constraints_of, degree: int) -> QuotientEstimate:
+              constraint: str, degree: int) -> QuotientEstimate:
     if not MIN_DEGREE <= degree <= MAX_SUBSPACE_DEGREE:
         raise UnsupportedDegree(
             f"subspace degree {degree} outside [{MIN_DEGREE}, {MAX_SUBSPACE_DEGREE}]"
         )
     pencil = _TrianglePencil(tri, degree)
-    grams = {"G0": pencil.G0, "G1": pencil.G1, "G2": pencil.G2}
-    constraints = constraints_of(pencil)
+    num, den = getattr(pencil, num_key), getattr(pencil, den_key)
     history = [
-        (d, _solve(pencil, grams[num_key], grams[den_key], constraints, d))
+        (d, _solve(num, den, _null_space(degree, constraint, d)))
         for d in range(MIN_DEGREE, degree + 1)
     ]
     return QuotientEstimate(
@@ -261,21 +304,21 @@ def rayleigh_A(tri: Triangle, edge_index: int = 1, degree: int = 12) -> Quotient
     if edge_index not in (1, 2):
         raise NotApplicable(f"edge_index {edge_index} not in {{1, 2}}")
     ordered = _right_triangle_ordered(tri)
-    kind = "A1" if edge_index == 1 else "A2-edge"
-    return _estimate(
-        ordered, kind, "G1", "G0",
-        lambda p: p.edge_mean_row(edge_index)[None, :], degree,
-    )
+    if edge_index == 1:
+        kind, constraint = "A1", "edge1"
+    else:
+        kind, constraint = "A2-edge", "edge2"
+    return _estimate(ordered, kind, "G1", "G0", constraint, degree)
 
 
 def rayleigh_B(tri: Triangle, degree: int = 12) -> QuotientEstimate:
     """Second-order/first-order quotient over vertex-vanishing polynomials."""
-    return _estimate(tri, "B", "G2", "G1", lambda p: p.vertex_rows(), degree)
+    return _estimate(tri, "B", "G2", "G1", "vertices", degree)
 
 
 def rayleigh_D(tri: Triangle, degree: int = 12) -> QuotientEstimate:
     """Second-order/zeroth-order quotient over vertex-vanishing polynomials."""
-    return _estimate(tri, "D", "G2", "G0", lambda p: p.vertex_rows(), degree)
+    return _estimate(tri, "D", "G2", "G0", "vertices", degree)
 
 
 @dataclass(frozen=True)

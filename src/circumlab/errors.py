@@ -54,8 +54,8 @@ class NonConforming(CircumlabError):
 
 
 class NoConvergence(CircumlabError):
-    """Iterative solve exhausted max_iter, or (with max_iter 0) its system
-    could not be factored; carries the residual history."""
+    """Iterative solve exhausted max_iter, or (as ``SingularSystem``) its
+    system could not be factored; carries the residual history."""
 
     def __init__(self, max_iter: int, history):
         super().__init__(
@@ -64,3 +64,12 @@ class NoConvergence(CircumlabError):
         )
         self.max_iter = max_iter
         self.history = list(history)
+
+
+class SingularSystem(NoConvergence):
+    """The system's matrix is singular and could not be factored: a
+    NoConvergence after 0 iterations, with the history [1.0]."""
+
+    def __init__(self, detail: str):
+        super().__init__(0, [1.0])
+        self.args = (f"system is singular and could not be factored ({detail})",)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DegenerateTriangle, InconsistentSpec, NoConvergence
+from .errors import DegenerateTriangle, InconsistentSpec, NoConvergence, SingularSystem
 from .fields import ScalarField, neg_laplacian
 from .geometry import signed_area
 from .mesh import Mesh, stats
@@ -126,9 +126,10 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
     on the diagonal, which is stable for the SPD stiffness block) is all
     but exact, so CG acts as iterative refinement and usually stops after
     one step; the report still carries the iterations and the residual
-    history.  Deterministic for fixed input.  Raises NoConvergence (with
-    the residual history so far) when the block cannot be factored or when
-    max_iter (default ``MAX_CG_ITER``) is exhausted.
+    history.  Deterministic for fixed input.  Raises SingularSystem, a
+    NoConvergence, when the block cannot be factored, and NoConvergence
+    (with the residual history so far) when max_iter (default
+    ``MAX_CG_ITER``) is exhausted.
     """
     a = sys.matrix
     b = sys.rhs
@@ -147,7 +148,7 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
                                       diag_pivot_thresh=0.0,
                                       options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NoConvergence(0, history) from exc
+        raise SingularSystem(str(exc)) from exc
     r = b.copy()
     z = lu.solve(r)
     p = z.copy()

@@ -45,8 +45,10 @@ class Triangle:
         p3 = (float(self.p3[0]), float(self.p3[1]))
         v = np.array([p1, p2, p3])
         if _below_area_floor(v):
+            with np.errstate(over="ignore"):  # the area may be what overflowed
+                area = abs(signed_area(v))
             raise DegenerateTriangle(
-                f"area {abs(signed_area(v)):.3e} below floor {AREA_FLOOR:g}*h^2 "
+                f"area {area:.3e} below floor {AREA_FLOOR:g}*h^2 "
                 f"or with its square outside the normal float64 range "
                 f"for vertices {p1}, {p2}, {p3}"
             )

@@ -176,7 +176,9 @@ class TestFemCommand:
                             lambda mesh: scipy.sparse.csr_matrix((mesh.n_vertices,) * 2))
         code = cli.main(["fem", "--levels", "1", "--n0", "4"])
         assert code == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "singular" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from circumlab import _basis, constants
 from circumlab.constants import (
     D2_REFERENCE,
     _TrianglePencil,
@@ -164,6 +165,81 @@ class TestRayleighD:
             tri = Triangle(move(base.p1), move(base.p2), move(base.p3))
             assert rayleigh_B(tri, 8).value == pytest.approx(ref_b, rel=1e-9)
             assert rayleigh_D(tri, 8).value == pytest.approx(ref_d, rel=1e-9)
+
+
+def _clear_reference_caches():
+    for cached in (constants._rule_table, constants._constraint_rows,
+                   constants._null_space):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def tabulate_calls(monkeypatch):
+    """Count the calls of ``_basis.tabulate`` made through the module."""
+    calls = []
+    tabulate = _basis.tabulate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return tabulate(*args, **kwargs)
+
+    monkeypatch.setattr(_basis, "tabulate", counting)
+    return calls
+
+
+class TestReferenceCaches:
+    RIGHT = Triangle((0, 0), (1.7, 0), (0, 0.4))
+    OTHER = Triangle((0.5, 0.5), (1.1, 0.5), (0.5, 2.0))
+
+    @pytest.mark.parametrize("estimate", [
+        rayleigh_B,
+        rayleigh_D,
+        lambda tri, degree: rayleigh_A(tri, 1, degree),
+        lambda tri, degree: rayleigh_A(tri, 2, degree),
+    ], ids=["B", "D", "A-edge1", "A-edge2"])
+    def test_second_triangle_tabulates_nothing(self, tabulate_calls, estimate):
+        _clear_reference_caches()
+        first = estimate(self.RIGHT, 8)
+        assert tabulate_calls, "the first call must build the degree-8 tables"
+        tabulate_calls.clear()
+        second = estimate(self.OTHER, 8)
+        assert tabulate_calls == []
+        assert second.value != first.value
+
+    def test_cached_arrays_read_only(self):
+        rayleigh_A(self.RIGHT, 1, 8)
+        rayleigh_B(self.RIGHT, 8)
+        weights, tab = constants._rule_table(8)
+        arrays = [weights, *tab.values(), _TrianglePencil(REF, 8).vertex_rows(),
+                  constants._constraint_rows(8, "edge1"),
+                  constants._null_space(8, "vertices", 6)]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_histories_identical_after_clearing(self, tabulate_calls):
+        def histories():
+            return [rayleigh_A(self.RIGHT, 1, 10).history,
+                    rayleigh_A(self.RIGHT, 2, 10).history,
+                    rayleigh_B(self.OTHER, 10).history,
+                    rayleigh_D(self.OTHER, 10).history]
+
+        before = histories()
+        _clear_reference_caches()
+        tabulate_calls.clear()
+        after = histories()
+        assert tabulate_calls, "clearing must rebuild the tables"
+        assert after == before
+
+    def test_null_space_is_the_leading_block_constraint(self):
+        # the degree-6 null space of the degree-8 vertex rows: the graded
+        # ordering puts the degree <= 6 polynomials in the first 28 columns
+        z = constants._null_space(8, "vertices", 6)
+        rows = _TrianglePencil(REF, 8).vertex_rows()
+        assert z.shape == (28, 25)
+        assert np.abs(rows[:, :28] @ z).max() <= 1e-13
+        assert np.allclose(z.T @ z, np.eye(25), atol=1e-13)
 
 
 class TestAudit:

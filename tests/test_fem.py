@@ -89,6 +89,8 @@ class TestSolver:
         with pytest.raises(NoConvergence) as exc:
             solve_cg(sys)
         assert exc.value.history == [1.0]
+        assert exc.value.max_iter == 0
+        assert "singular and could not be factored" in str(exc.value)
 
     def test_bubble_on_crisscross_in_two_steps(self):
         sys = assemble(gen_crisscross_aniso(16, 1.5), neg_laplacian(BUBBLE))
