@@ -19,14 +19,13 @@ out = Path(__file__).resolve().parent / "output"
 u = get_field("sinsin")
 
 print("baseline: uniform right-triangle mesh (first-order rate check)")
-rep = cea_study(gen_uniform, [8, 16, 32], u, family="uniform")
+rep = cea_study(gen_uniform, [8, 16, 32], u)
 for a, b in zip(rep.rows, rep.rows[1:]):
     print(f"  n={a.n:3d}->{b.n:3d}  H1 seminorm error ratio "
           f"{a.h1_seminorm_error / b.h1_seminorm_error:.3f} (expect ~2)")
 
 print("\nanisotropic crisscross alpha = 1.5: maximum angle condition violated")
-rep = cea_study(lambda n: gen_crisscross_aniso(n, 1.5), [8, 16, 32, 64], u,
-                family="crisscross")
+rep = cea_study(lambda n: gen_crisscross_aniso(n, 1.5), [8, 16, 32, 64], u)
 print(f"{'n':>4s} {'max angle':>10s} {'max R_K':>9s} {'|u-Ihu|_1':>10s} "
       f"{'|u-uh|_1':>10s} {'‖u-uh‖_1':>10s} {'chain ok':>8s}")
 for r in rep.rows:

@@ -111,9 +111,18 @@ def _check_levels(args) -> None:
         raise UsageError(f"--levels {args.levels} must be >= 1")
 
 
+def _parse_p(token: str) -> float:
+    if token == "inf":
+        return math.inf
+    try:
+        return float(token)
+    except ValueError:
+        raise UsageError(f"--p {token!r} is not a number or 'inf'") from None
+
+
 def _cmd_interp(args) -> int:
     field = get_field(args.field)
-    p = math.inf if args.p == "inf" else float(args.p)
+    p = _parse_p(args.p)
     if args.needle_study is not None:
         _check_levels(args)
         hs = [2.0 ** -(k + 2) for k in range(args.levels)]
@@ -253,7 +262,7 @@ def _cmd_fem(args) -> int:
         factory = lambda n: mesh.gen_crisscross_aniso(n, args.alpha)
     else:
         raise UsageError(f"--family {args.family!r} not one of uniform, crisscross")
-    rep = fem.cea_study(factory, ns, field, family=args.family)
+    rep = fem.cea_study(factory, ns, field)
     columns = fem.CEA_CSV_COLUMNS
     rows = [[r.to_dict()[c] for c in columns] for r in rep.rows]
     config = {

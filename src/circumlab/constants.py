@@ -40,7 +40,7 @@ import scipy.linalg
 
 from . import _basis
 from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
-from .geometry import CanonicalForm, Triangle, canonicalize, metrics
+from .geometry import Triangle, canonicalize, metrics
 from .quadrature import _read_only, make_rule
 
 # Published approximate value of the vertex-constrained second-order
@@ -342,7 +342,6 @@ class AuditRecord:
     triangle: Triangle
     degree: int
     entries: list[AuditEntry]
-    canonical: CanonicalForm
 
     @property
     def all_pass(self) -> bool:
@@ -358,12 +357,7 @@ class AuditRecord:
         }
 
 
-def lemma_inequality_audit(
-    tri: Triangle,
-    degree: int = 8,
-    include_right_angle: bool | None = None,
-    d2_reference: float = D2_REFERENCE,
-) -> AuditRecord:
+def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
     """Check the known quotient lower bounds against subspace estimates.
 
     Estimates are upper bounds of the true infima, so ``computed >= bound``
@@ -371,31 +365,28 @@ def lemma_inequality_audit(
     families are audited at p = 2:
 
     * right triangles with axis-parallel legs, circumradius R:
-      B >= A_2/(2R) and D >= D_2/(4R^2);
+      B >= A_2/(2R) and D >= D_2/(4R^2), audited only when ``tri`` is one;
     * any triangle, after canonicalization to a longest edge of length 2 on
       the x-axis, circumradius R: B >= A_2/(2^phi(2) sqrt(3) R) and
       D >= D_2/(2^mu(2) * 3 * R^2).
 
-    ``include_right_angle=True`` forces the first family and raises
-    NotApplicable when the shape does not qualify; None auto-detects.
+    D_2 is ``D2_REFERENCE``.
     """
     a2 = a2_constant()
     helpers = exponent_helpers(2.0)
     entries: list[AuditEntry] = []
 
-    right = None
     try:
         right = _right_triangle_ordered(tri)
     except NotApplicable:
-        if include_right_angle:
-            raise
-    if right is not None and include_right_angle is not False:
+        right = None
+    if right is not None:
         r = metrics(right).R_K
         b_est = rayleigh_B(right, degree).value
         d_est = rayleigh_D(right, degree).value
         entries.append(AuditEntry("B_right_legs", b_est, a2 / (2.0 * r),
                                   b_est >= a2 / (2.0 * r)))
-        bound_d = d2_reference / (4.0 * r * r)
+        bound_d = D2_REFERENCE / (4.0 * r * r)
         entries.append(AuditEntry("D_right_legs", d_est, bound_d, d_est >= bound_d))
 
     form = canonicalize(tri)
@@ -406,7 +397,7 @@ def lemma_inequality_audit(
     b_est = rayleigh_B(canon_unit, degree).value
     d_est = rayleigh_D(canon_unit, degree).value
     bound_b = a2 / (2.0 ** helpers.phi * math.sqrt(3.0) * r)
-    bound_d = d2_reference / (2.0 ** helpers.mu * 3.0 * r * r)
+    bound_d = D2_REFERENCE / (2.0 ** helpers.mu * 3.0 * r * r)
     entries.append(AuditEntry("B_longest_edge", b_est, bound_b, b_est >= bound_b))
     entries.append(AuditEntry("D_longest_edge", d_est, bound_d, d_est >= bound_d))
-    return AuditRecord(triangle=tri, degree=degree, entries=entries, canonical=form)
+    return AuditRecord(triangle=tri, degree=degree, entries=entries)

@@ -20,12 +20,11 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DegenerateTriangle, InconsistentSpec, NoConvergence, SingularSystem
+from .errors import InconsistentSpec, NoConvergence, SingularSystem
 from .fields import ScalarField, neg_laplacian
-from .geometry import signed_area
+from .geometry import element_geometry
 from .mesh import Mesh, stats
-from .quadrature import (QuadratureRule, hessian_lp_power, lp_power, make_rule,
-                         p1_values, physical_points)
+from .quadrature import FieldAtRule, make_rule, physical_points
 
 LOAD_QUAD_DEGREE = 4
 ERROR_QUAD_DEGREE = 6
@@ -34,27 +33,9 @@ ERROR_QUAD_DEGREE = 6
 MAX_CG_ITER = 20
 
 
-def _element_geometry(p):
-    """Signed areas (...) and P1 shape gradients gx, gy (..., 3) of the
-    triangles of a (..., 3, 2) vertex array; entry i of the last axis of
-    gx, gy is the gradient of the hat function of local vertex i."""
-    x, y = p[..., 0], p[..., 1]
-    e1, e2 = [1, 2, 0], [2, 0, 1]
-    areas = signed_area(p)
-    flat = np.ravel(areas)
-    if np.any(flat <= 0.0):
-        k = int(np.argmax(flat <= 0.0))
-        raise DegenerateTriangle(f"element {k} has non-positive area {flat[k]:.3e}")
-    # grad(lambda_i) = rot90(opposite edge) / (2S)
-    s2 = (2.0 * areas)[..., None]
-    gx = (y[..., e1] - y[..., e2]) / s2
-    gy = (x[..., e2] - x[..., e1]) / s2
-    return areas, gx, gy
-
-
 def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
     """Unconstrained P1 stiffness matrix (exact per-element closed form)."""
-    areas, gx, gy = _element_geometry(mesh.element_coords())
+    areas, gx, gy = element_geometry(mesh.element_coords())
     ke = areas[:, None, None] * (
         gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     )
@@ -67,11 +48,9 @@ def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
     return a.tocsr()
 
 
-def load_vector(mesh: Mesh, f: ScalarField,
-                rule: QuadratureRule | None = None) -> np.ndarray:
-    """int f * hat_i by per-element quadrature (default degree 4)."""
-    if rule is None:
-        rule = make_rule(LOAD_QUAD_DEGREE)
+def load_vector(mesh: Mesh, f: ScalarField) -> np.ndarray:
+    """int f * hat_i by per-element quadrature of degree 4."""
+    rule = make_rule(LOAD_QUAD_DEGREE)
     xq, yq, w = physical_points(rule, mesh.element_coords())  # (nq, nt)
     fv = np.asarray(f.value(xq, yq), dtype=float)
     contrib = ((w * fv)[:, :, None] * rule.points[:, None, :]).sum(axis=0)
@@ -87,18 +66,15 @@ class SparseSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     free: np.ndarray
-    n_total: int
 
 
-def assemble(mesh: Mesh, f: ScalarField,
-             load_rule: QuadratureRule | None = None) -> SparseSystem:
+def assemble(mesh: Mesh, f: ScalarField) -> SparseSystem:
     """Stiffness + load with symmetric elimination of boundary rows/columns."""
     a = stiffness_matrix(mesh)
-    b = load_vector(mesh, f, load_rule)
+    b = load_vector(mesh, f)
     free = np.flatnonzero(~mesh.boundary)
     a_ff = a[free][:, free].tocsr()
-    return SparseSystem(matrix=a_ff, rhs=b[free], free=free,
-                        n_total=mesh.n_vertices)
+    return SparseSystem(matrix=a_ff, rhs=b[free], free=free)
 
 
 @dataclass
@@ -169,11 +145,10 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
     raise NoConvergence(max_iter, history)
 
 
-def solve_poisson(mesh: Mesh, f: ScalarField, rel_tol: float = 1e-10,
-                  max_iter: int | None = None) -> FemSolution:
+def solve_poisson(mesh: Mesh, f: ScalarField) -> FemSolution:
     """Assemble and solve -lap(u) = f, u = 0 on the boundary."""
     sys = assemble(mesh, f)
-    xf, report = solve_cg(sys, rel_tol=rel_tol, max_iter=max_iter)
+    xf, report = solve_cg(sys)
     values = np.zeros(mesh.n_vertices)
     values[sys.free] = xf
     return FemSolution(mesh=mesh, values=values, report=report)
@@ -184,71 +159,14 @@ def interpolant_values(mesh: Mesh, u: ScalarField) -> np.ndarray:
     return np.asarray(u.value(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
 
 
-class FieldAtRule:
-    """A field on the triangles of a (..., 3, 2) vertex array at the points
-    of one rule: element geometry, the physical points and the field's
-    value, gradient and Hessian there, each computed at most once, on first
-    use."""
-
-    def __init__(self, pts, field: ScalarField, rule: QuadratureRule):
-        self.pts = pts
-        self.field = field
-        self.rule = rule
-
-    @cached_property
-    def geometry(self):
-        return _element_geometry(self.pts)
-
-    @cached_property
-    def points(self):
-        return physical_points(self.rule, self.pts)
-
-    @cached_property
-    def value(self) -> np.ndarray:
-        x, y, _ = self.points
-        return np.asarray(self.field.value(x, y), dtype=float)
-
-    def _derivative(self, kind: str):
-        fn = getattr(self.field, kind)
-        if fn is None:
-            what = {"grad": "gradient evaluators", "hess": "Hessian"}[kind]
-            raise InconsistentSpec(f"{self.field.name} has no {what}")
-        x, y, _ = self.points
-        return fn(x, y)
-
-    @cached_property
-    def grad(self):
-        return self._derivative("grad")
-
-    @cached_property
-    def hess(self):
-        return self._derivative("hess")
-
-    def error_power(self, nodal, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """(|v - u_h|_{0,p}^p, |v - u_h|_{1,p}^p) on each triangle, where
-        u_h is the P1 function with vertex values ``nodal`` (..., 3); at
-        p = inf the maxima over the rule points."""
-        ex, ey = self.grad
-        _, gx, gy = self.geometry
-        w = self.points[2]
-        return (lp_power(w, p, [self.value - p1_values(self.rule, nodal)]),
-                lp_power(w, p, [ex - (nodal * gx).sum(axis=-1), ey - (nodal * gy).sum(axis=-1)]))
-
-    def hessian_power(self, p: float) -> np.ndarray:
-        """|v|_{2,p}^p on each triangle (the max at p = inf)."""
-        return hessian_lp_power(self.points[2], p, self.hess)
-
-
 class MeshErrorContext(FieldAtRule):
-    """``FieldAtRule`` for the elements of a mesh (by default at the
-    degree-6 error rule), plus the field's values at the mesh vertices.
-    The error functionals below take it in place of their field, so that
-    one study row evaluates the exact field once per evaluator."""
+    """``FieldAtRule`` for the elements of a mesh at the degree-6 error
+    rule, plus the field's values at the mesh vertices.  The error
+    functionals below take it in place of their field, so that one study
+    row evaluates the exact field once per evaluator."""
 
-    def __init__(self, mesh: Mesh, field: ScalarField,
-                 rule: QuadratureRule | None = None):
-        super().__init__(mesh.element_coords(), field,
-                         rule or make_rule(ERROR_QUAD_DEGREE))
+    def __init__(self, mesh: Mesh, field: ScalarField):
+        super().__init__(mesh.element_coords(), field, make_rule(ERROR_QUAD_DEGREE))
         self.mesh = mesh
 
     @cached_property
@@ -256,35 +174,33 @@ class MeshErrorContext(FieldAtRule):
         return interpolant_values(self.mesh, self.field)
 
 
-def _context(mesh: Mesh, u, rule: QuadratureRule | None) -> MeshErrorContext:
+def _context(mesh: Mesh, u) -> MeshErrorContext:
     if not isinstance(u, MeshErrorContext):
-        return MeshErrorContext(mesh, u, rule)
-    if u.mesh is not mesh or (rule is not None and rule is not u.rule):
-        raise InconsistentSpec("the error context belongs to another mesh or rule")
+        return MeshErrorContext(mesh, u)
+    if u.mesh is not mesh:
+        raise InconsistentSpec("the error context belongs to another mesh")
     return u
 
 
-def h1_error(mesh: Mesh, nodal: np.ndarray, exact,
-             rule: QuadratureRule | None = None) -> tuple[float, float]:
+def h1_error(mesh: Mesh, nodal: np.ndarray, exact) -> tuple[float, float]:
     """(H1-seminorm error, full H1-norm error) of a nodal P1 function
     against ``exact`` (a field or a ``MeshErrorContext`` of this mesh),
     accumulated in element-index order."""
-    l22, semi2 = (float(np.add.reduce(e)) for e in _context(mesh, exact, rule).error_power(
+    l22, semi2 = (float(np.add.reduce(e)) for e in _context(mesh, exact).error_power(
         nodal[mesh.triangles], 2.0))
     return math.sqrt(semi2), math.sqrt(semi2 + l22)
 
 
-def hessian_seminorm(mesh: Mesh, u, rule: QuadratureRule | None = None) -> float:
+def hessian_seminorm(mesh: Mesh, u) -> float:
     """|u|_{2,2} over the meshed domain (weight-2 mixed term); u is a field
     or a ``MeshErrorContext`` of this mesh."""
-    return math.sqrt(float(np.add.reduce(_context(mesh, u, rule).hessian_power(2.0))))
+    return math.sqrt(float(np.add.reduce(_context(mesh, u).hessian_power(2.0))))
 
 
-def interpolation_h1_error(mesh: Mesh, u,
-                           rule: QuadratureRule | None = None) -> tuple[float, float]:
+def interpolation_h1_error(mesh: Mesh, u) -> tuple[float, float]:
     """Mesh-wide H1 interpolation error |u - I_h u| (seminorm, full norm);
     u is a field or a ``MeshErrorContext`` of this mesh."""
-    ctx = _context(mesh, u, rule)
+    ctx = _context(mesh, u)
     return h1_error(mesh, ctx.nodal, ctx)
 
 
@@ -331,13 +247,10 @@ CEA_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class CeaReport:
-    exact_name: str
-    family: str
     rows: list[CeaRow]
 
 
-def cea_study(mesh_factory, ns, exact: ScalarField, rel_tol: float = 1e-10,
-              family: str = "custom") -> CeaReport:
+def cea_study(mesh_factory, ns, exact: ScalarField) -> CeaReport:
     """One refinement row per n in ``ns``.
 
     ``exact`` must vanish on the domain boundary (manufactured solution),
@@ -361,7 +274,7 @@ def cea_study(mesh_factory, ns, exact: ScalarField, rel_tol: float = 1e-10,
                 "the study needs u = 0 on the boundary"
             )
         st = stats(mesh)
-        sol = solve_poisson(mesh, f, rel_tol=rel_tol)
+        sol = solve_poisson(mesh, f)
         semi_err, norm_err = h1_error(mesh, sol.values, ctx)
         interp_err, _ = interpolation_h1_error(mesh, ctx)
         semi22 = hessian_seminorm(mesh, ctx)
@@ -382,4 +295,4 @@ def cea_study(mesh_factory, ns, exact: ScalarField, rel_tol: float = 1e-10,
                 cg_residual=sol.report.relative_residual,
             )
         )
-    return CeaReport(exact_name=exact.name, family=family, rows=rows)
+    return CeaReport(rows=rows)

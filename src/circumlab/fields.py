@@ -38,14 +38,6 @@ class ScalarField:
     hess: Callable | None = None
     degree: int | None = field(default=None)
 
-    @property
-    def has_gradient(self) -> bool:
-        return self.grad is not None
-
-    @property
-    def has_hessian(self) -> bool:
-        return self.hess is not None
-
 
 def _coeff_matrix(coeffs: list[float]) -> np.ndarray:
     """Graded coefficient list -> dense (d+1)x(d+1) power matrix c[i, j]."""

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTriangle, InvalidThreshold
+from .errors import DegenerateTriangle, InvalidFamily, InvalidThreshold
 
 # Relative area floor: reject triangles with S < AREA_FLOOR * h_K^2 so the
 # S^2 and 1/S^2 terms of C(K) stay finite.
@@ -73,6 +73,24 @@ def signed_area(pts):
     p = np.asarray(pts, dtype=float)
     d = p[..., 1:, :] - p[..., :1, :]  # p2 - p1, p3 - p1
     return 0.5 * (d[..., 0, 0] * d[..., 1, 1] - d[..., 1, 0] * d[..., 0, 1])
+
+
+def element_geometry(p):
+    """Signed areas (...) and P1 shape gradients gx, gy (..., 3) of the
+    triangles of a (..., 3, 2) vertex array; entry i of the last axis of
+    gx, gy is the gradient of the hat function of local vertex i."""
+    x, y = p[..., 0], p[..., 1]
+    e1, e2 = [1, 2, 0], [2, 0, 1]
+    areas = signed_area(p)
+    flat = np.ravel(areas)
+    if np.any(flat <= 0.0):
+        k = int(np.argmax(flat <= 0.0))
+        raise DegenerateTriangle(f"element {k} has non-positive area {flat[k]:.3e}")
+    # grad(lambda_i) = rot90(opposite edge) / (2S)
+    s2 = (2.0 * areas)[..., None]
+    gx = (y[..., e1] - y[..., e2]) / s2
+    gy = (x[..., e2] - x[..., e1]) / s2
+    return areas, gx, gy
 
 
 def edge_lengths_and_area(pts):
@@ -281,7 +299,10 @@ def circumradius_identity_check(tri: Triangle, rel_tol: float = 1e-12) -> bool:
 
 
 def needle_triangle(h: float, alpha: float) -> Triangle:
-    """Isosceles triangle with base h on the x-axis and apex height h**alpha."""
+    """Isosceles triangle with base h on the x-axis and apex height h**alpha.
+    A negative h raises InvalidFamily; h = 0 gives a DegenerateTriangle."""
+    if h < 0.0:
+        raise InvalidFamily(f"needle base h = {h} is negative")
     return Triangle((0.0, 0.0), (h, 0.0), (0.5 * h, h ** alpha))
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, InvalidFamily
-from .fem import FieldAtRule, _element_geometry
 from .fields import ScalarField
-from .geometry import Triangle, TriangleMetrics, metrics, needle_triangle
-from .quadrature import QuadratureRule, adaptive_values, lp_root
+from .geometry import Triangle, TriangleMetrics, element_geometry, metrics, needle_triangle
+from .quadrature import FieldAtRule, QuadratureRule, adaptive_values, lp_root
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class AffineFunction:
 def _interpolant(pts: np.ndarray, v: ScalarField):
     """v at the vertices ``pts`` (3, 2) and the gradient (cx, cy) of I_h v."""
     nodal = np.asarray(v.value(pts[:, 0], pts[:, 1]), dtype=float)
-    _, gx, gy = _element_geometry(pts)
+    _, gx, gy = element_geometry(pts)
     return nodal, float(nodal @ gx), float(nodal @ gy)
 
 
@@ -104,11 +103,11 @@ def error_report(
     p: float = 2.0,
     rule: QuadratureRule | None = None,
     empirical_cp: float = 1.0,
-    sup_grid: int = 64,
 ) -> InterpErrorReport:
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
-    The one-element case of the mesh error functionals.  With ``rule``
+    The one-element case of the mesh error functionals.  ``rule`` fixes
+    the rule below p = inf (p = inf always takes the sup grid).  With it
     unset, polynomial fields get one rule exact for all three seminorms and
     other fields one degree-doubling loop over all three.
     """
@@ -126,7 +125,7 @@ def error_report(
     if rule is not None and not math.isinf(p):
         err_0p, err_1p, semi_2p = evaluate(rule)
     else:
-        err_0p, err_1p, semi_2p = adaptive_values(evaluate, p, v.degree, sup_grid=sup_grid)
+        err_0p, err_1p, semi_2p = adaptive_values(evaluate, p, v.degree)
     if math.isinf(p):
         err_full = max(err_0p, err_1p)
         ih_1p = max(abs(cx), abs(cy))

@@ -25,15 +25,13 @@ class Mesh:
     """Conforming triangulation with vertex boundary flags.
 
     vertices: (nv, 2) float array; boundary: (nv,) bool; triangles:
-    (nt, 3) int array, counterclockwise.  ``family_tag`` records the
-    generator and its parameters; ``warnings`` collects parser notes
-    (e.g. reoriented triangles) and is never serialized.
+    (nt, 3) int array, counterclockwise.  ``warnings`` collects parser
+    notes (e.g. reoriented triangles) and is never serialized.
     """
 
     vertices: np.ndarray
     boundary: np.ndarray
     triangles: np.ndarray
-    family_tag: tuple[str, dict] | None = None
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -215,7 +213,7 @@ def gen_uniform(n: int) -> Mesh:
         | np.isclose(verts[:, 1], 0.0) | np.isclose(verts[:, 1], 1.0)
     )
     v, b, t = _canonical_order(verts, bnd, tris)
-    return Mesh(v, b, t, family_tag=("uniform", {"n": n}))
+    return Mesh(v, b, t)
 
 
 def crisscross_rows(n: int, alpha: float) -> int:
@@ -254,7 +252,7 @@ def gen_crisscross_aniso(n: int, alpha: float, force: bool = False) -> Mesh:
         | np.isclose(verts[:, 1], 0.0) | np.isclose(verts[:, 1], 1.0)
     )
     v, b, t = _canonical_order(verts, bnd, tris)
-    return Mesh(v, b, t, family_tag=("crisscross", {"n": n, "alpha": alpha}))
+    return Mesh(v, b, t)
 
 
 def lens_contains(x, y, tol: float = 0.0):
@@ -319,7 +317,7 @@ def gen_lens(n: int) -> Mesh:
     flip = signed_area(xy[tris_arr]) < 0.0
     tris_arr[flip] = tris_arr[flip][:, [0, 2, 1]]
     v, b, t = _canonical_order(xy, bnd, tris_arr)
-    return Mesh(v, b, t, family_tag=("lens", {"n": n}))
+    return Mesh(v, b, t)
 
 
 def single_triangle_mesh(tri: Triangle) -> Mesh:

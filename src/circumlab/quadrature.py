@@ -7,6 +7,10 @@ ceil((d+2)/2) x ceil((d+1)/2) Gauss points and is exact for every
 polynomial of total degree <= d.  Arbitrary degree is supported without
 embedded point tables.
 
+``FieldAtRule`` holds a field at one rule's points on a batch of triangles;
+it is the one evaluation kernel behind the seminorms below,
+``interp.error_report`` and the mesh error functionals of ``fem``.
+
 Seminorms follow the weighted convention
 
     |u|_{2,p,K}^p = int |u_xx|^p + |u_yy|^p + 2 |u_xy|^p
@@ -24,9 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSpec, InvalidExponent, UnsupportedDegree
-from .geometry import Triangle, signed_area
+from .geometry import Triangle, element_geometry, signed_area
 
 MAX_DEGREE = 30
+# the adaptive choice of rule: first degree of the doubling loop, relative
+# agreement that freezes a value, and the sup grid's subdivisions at p = inf
+START_DEGREE = 8
+REL_TOL = 1e-8
+SUP_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -124,25 +133,71 @@ def lp_root(power, p: float) -> float:
     return float(power) if math.isinf(p) else float(power) ** (1.0 / p)
 
 
+class FieldAtRule:
+    """A field on a Triangle or the triangles of a (..., 3, 2) vertex array
+    at the points of one rule: element geometry, the physical points and
+    the field's value, gradient and Hessian there, each computed at most
+    once, on first use."""
+
+    def __init__(self, pts, field, rule: QuadratureRule):
+        self.pts = pts.vertices if isinstance(pts, Triangle) else pts
+        self.field = field
+        self.rule = rule
+
+    @functools.cached_property
+    def geometry(self):
+        return element_geometry(self.pts)
+
+    @functools.cached_property
+    def points(self):
+        return physical_points(self.rule, self.pts)
+
+    @functools.cached_property
+    def value(self) -> np.ndarray:
+        x, y, _ = self.points
+        return np.asarray(self.field.value(x, y), dtype=float)
+
+    def _derivative(self, kind: str):
+        fn = getattr(self.field, kind, None)
+        if fn is None:
+            what = {"grad": "gradient evaluators", "hess": "Hessian"}[kind]
+            raise InconsistentSpec(f"{getattr(self.field, 'name', self.field)} has no {what}")
+        x, y, _ = self.points
+        return fn(x, y)
+
+    @functools.cached_property
+    def grad(self):
+        return self._derivative("grad")
+
+    @functools.cached_property
+    def hess(self):
+        return self._derivative("hess")
+
+    def error_power(self, nodal, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(|v - u_h|_{0,p}^p, |v - u_h|_{1,p}^p) on each triangle, where
+        u_h is the P1 function with vertex values ``nodal`` (..., 3); at
+        p = inf the maxima over the rule points."""
+        ex, ey = self.grad
+        _, gx, gy = self.geometry
+        w = self.points[2]
+        return (lp_power(w, p, [self.value - p1_values(self.rule, nodal)]),
+                lp_power(w, p, [ex - (nodal * gx).sum(axis=-1), ey - (nodal * gy).sum(axis=-1)]))
+
+    def hessian_power(self, p: float) -> np.ndarray:
+        """|v|_{2,p}^p on each triangle (the max at p = inf): ``lp_power``
+        of the Hessian (u_xx, u_xy, u_yy), the mixed term weighted 2."""
+        h = self.hess
+        return lp_power(self.points[2], p, (h[0], h[2], h[1]), (1.0, 1.0, 2.0))
+
+
 def seminorm_power(expr, m: int, p: float, pts, rule: QuadratureRule) -> np.ndarray:
     """|expr|_{m,p}^p (the max at p = inf) of each triangle of ``pts``, a
-    Triangle or a (..., 3, 2) vertex array, on the points of ``rule``; the
-    one evaluator that m needs is called once."""
-    x, y, w = physical_points(rule, pts)
-    if m == 0:
-        return lp_power(w, p, [np.asarray(expr.value(x, y), dtype=float)])
-    fn = getattr(expr, ("grad", "hess")[m - 1], None)
-    if fn is None:
-        kind = ("gradient", "Hessian")[m - 1]
-        raise InconsistentSpec(f"{getattr(expr, 'name', expr)} has no {kind}")
-    d = fn(x, y)
-    return lp_power(w, p, d) if m == 1 else hessian_lp_power(w, p, d)
-
-
-def hessian_lp_power(w, p: float, h) -> np.ndarray:
-    """``lp_power`` of a Hessian (u_xx, u_xy, u_yy), the mixed term
-    weighted 2."""
-    return lp_power(w, p, (h[0], h[2], h[1]), (1.0, 1.0, 2.0))
+    Triangle or a (..., 3, 2) vertex array, on the points of ``rule``: the
+    ``FieldAtRule`` view that m needs."""
+    at_rule = FieldAtRule(pts, expr, rule)
+    if m == 2:
+        return at_rule.hessian_power(p)
+    return lp_power(at_rule.points[2], p, [at_rule.value] if m == 0 else at_rule.grad)
 
 
 def barycentric_grid(subdiv: int) -> np.ndarray:
@@ -168,61 +223,49 @@ def sup_rule(subdiv: int) -> QuadratureRule:
     return QuadratureRule(degree=0, points=pts, weights=wt)
 
 
-def seminorm(
-    expr,
-    spec: SeminormSpec,
-    tri: Triangle,
-    rule: QuadratureRule | None = None,
-    sup_grid: int = 64,
-) -> float:
-    """|expr|_{m,p,K} by quadrature (p < inf) or grid sampling (p = inf).
+def seminorm(expr, spec: SeminormSpec, tri: Triangle,
+             rule: QuadratureRule | None = None) -> float:
+    """|expr|_{m,p,K} on the points of ``rule``: by default the degree-8
+    rule for p < inf, and for p = inf the barycentric grid with
+    ``SUP_GRID`` subdivisions, whose max is a lower estimate of the
+    essential sup.
 
     ``expr`` must expose value/grad/hess evaluators as far as m requires.
-    For p = inf the result is the max over a barycentric grid with
-    ``sup_grid`` subdivisions (a lower estimate of the essential sup).
     """
-    if math.isinf(spec.p):
-        rule = sup_rule(sup_grid)
-    return lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule or make_rule(8)), spec.p)
+    if rule is None:
+        rule = sup_rule(SUP_GRID) if math.isinf(spec.p) else make_rule(8)
+    return lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule), spec.p)
 
 
-def adaptive_values(evaluate, p: float, degree: int | None, rel_tol: float = 1e-8,
-                    start_degree: int = 8, sup_grid: int = 64) -> list[float]:
+def adaptive_values(evaluate, p: float, degree: int | None) -> list[float]:
     """The list ``evaluate(rule)`` returns, on the rule its integrands need:
     the sup grid at p = inf; one exact rule of degree p * ``degree`` when
     each integrand is |q|^p with p even and q a polynomial of degree at most
-    ``degree``; else rules of doubling degree from ``start_degree`` up to
+    ``degree``; else rules of doubling degree from ``START_DEGREE`` up to
     MAX_DEGREE, each value frozen at the first degree where it agrees with
-    the previous one to ``rel_tol`` relative (or at the last degree).
+    the previous one to ``REL_TOL`` relative (or at the last degree).
     """
     if math.isinf(p):
-        return evaluate(sup_rule(sup_grid))
+        return evaluate(sup_rule(SUP_GRID))
     if degree is not None and p % 2 == 0 and degree * p <= MAX_DEGREE:
         return evaluate(make_rule(max(1, int(degree * p))))
-    d = start_degree
+    d = START_DEGREE
     vals = list(evaluate(make_rule(d)))
     done = [False] * len(vals)
     while d < MAX_DEGREE and not all(done):
         d = min(2 * d, MAX_DEGREE)
         for i, cur in enumerate(evaluate(make_rule(d))):
             if not done[i]:
-                done[i] = abs(cur - vals[i]) <= rel_tol * max(abs(cur), 1e-300)
+                done[i] = abs(cur - vals[i]) <= REL_TOL * max(abs(cur), 1e-300)
                 vals[i] = cur
     return vals
 
 
-def seminorm_auto(
-    expr,
-    spec: SeminormSpec,
-    tri: Triangle,
-    rel_tol: float = 1e-8,
-    start_degree: int = 8,
-    sup_grid: int = 64,
-) -> float:
+def seminorm_auto(expr, spec: SeminormSpec, tri: Triangle) -> float:
     """Seminorm on the rule ``adaptive_values`` picks: one exact rule for
     polynomial expressions with even p, else degrees doubling until two
-    successive values agree to ``rel_tol`` relative."""
+    successive values agree to ``REL_TOL`` relative."""
     deg = getattr(expr, "degree", None)
     return adaptive_values(
         lambda rule: [lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule), spec.p)],
-        spec.p, None if deg is None else deg - spec.m, rel_tol, start_degree, sup_grid)[0]
+        spec.p, None if deg is None else deg - spec.m)[0]

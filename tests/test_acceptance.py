@@ -165,9 +165,7 @@ def test_criterion_07_needle_study():
 def test_criterion_08_fem_circumradius_condition():
     t0 = time.perf_counter()
     rep = cea_study(
-        lambda n: gen_crisscross_aniso(n, 1.5), [8, 16, 32, 64], SINSIN,
-        family="crisscross",
-    )
+        lambda n: gen_crisscross_aniso(n, 1.5), [8, 16, 32, 64], SINSIN)
     dt = time.perf_counter() - t0
     errs = [r.h1_norm_error for r in rep.rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))

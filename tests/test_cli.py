@@ -47,6 +47,19 @@ class TestTriangleCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
+def test_negative_needle_base_exit_2(command, capsys):
+    code = cli.main([command, "--needle", "-0.1", "1.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid family" in err and "negative" in err
+
+
+@pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
+def test_zero_needle_base_exit_3(command, capsys):
+    assert cli.main([command, "--needle", "0", "1.5"]) == 3
+
+
 class TestInterpCommand:
     def test_needle_study_writes_reports(self, capsys, tmp_path):
         code, out = run(
@@ -65,6 +78,13 @@ class TestInterpCommand:
         code, out = run(capsys, "interp", "--needle-study", "1.5", "--levels", "0")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("p", ["abc", "2,5", ""])
+    def test_non_numeric_p_exit_2(self, capsys, p):
+        code = cli.main(["interp", "0,0", "1,0", "0,1", "--p", p])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: --p")
 
     def test_unknown_field_exit_2(self, capsys):
         code, _ = run(capsys, "interp", "--field", "nope", "0,0", "1,0", "0,1")

@@ -262,10 +262,8 @@ class TestAudit:
         assert byname["B_longest_edge"].passed
         assert byname["D_longest_edge"].passed
 
-    def test_not_applicable_when_forced(self):
+    def test_right_family_skipped_when_not_right(self):
         equil = Triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-        with pytest.raises(NotApplicable):
-            lemma_inequality_audit(equil, degree=6, include_right_angle=True)
         rec = lemma_inequality_audit(equil, degree=6)
         assert {e.lemma for e in rec.entries} == {"B_longest_edge", "D_longest_edge"}
 

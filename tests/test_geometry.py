@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circumlab.errors import DegenerateTriangle, InvalidThreshold
+from circumlab.errors import DegenerateTriangle, InvalidFamily, InvalidThreshold
 from circumlab.geometry import (
     AREA_FLOOR,
     CanonicalForm,
@@ -153,6 +153,12 @@ class TestConditionFlags:
         assert m.theta_max == pytest.approx(apex, rel=1e-12)
         flags = condition_flags(m, 0.01, 2.8, 1e6)
         assert flags["max_angle_ok"] == (apex <= 2.8)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_negative_needle_base_rejected(self, alpha):
+        # at alpha = 2 the apex height is real, yet the base is still invalid
+        with pytest.raises(InvalidFamily):
+            needle_triangle(-0.1, alpha)
 
     def test_sigma_infinity(self):
         m = metrics(needle_triangle(0.1, 1.9))

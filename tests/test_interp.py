@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from circumlab import quadrature
 from circumlab.errors import InvalidExponent, InvalidFamily
-from circumlab.fem import hessian_seminorm, interpolation_h1_error
+from circumlab.fem import ERROR_QUAD_DEGREE, hessian_seminorm, interpolation_h1_error
 from circumlab.fields import get_field, polynomial_field, random_polynomial
 from circumlab.geometry import (
     Triangle,
@@ -225,13 +225,13 @@ class TestAgainstExactOracle:
 )
 def test_triangle_path_equals_mesh_path(tri, name):
     v = get_field(name)
-    rule = make_rule(6)
-    rep = error_report(tri, v, 2.0, rule=rule)
+    # the mesh functionals integrate on the error rule
+    rep = error_report(tri, v, 2.0, rule=make_rule(ERROR_QUAD_DEGREE))
     mesh = single_triangle_mesh(tri)
-    semi, full = interpolation_h1_error(mesh, v, rule)
+    semi, full = interpolation_h1_error(mesh, v)
     assert semi == pytest.approx(rep.err_1p, rel=1e-14, abs=0.0)
     assert full == pytest.approx(rep.err_full, rel=1e-14, abs=0.0)
-    assert hessian_seminorm(mesh, v, rule) == pytest.approx(rep.semi_2p, rel=1e-14, abs=0.0)
+    assert hessian_seminorm(mesh, v) == pytest.approx(rep.semi_2p, rel=1e-14, abs=0.0)
 
 
 class TestNeedleStudy:

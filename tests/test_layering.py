@@ -1,0 +1,46 @@
+"""The package's import layering: geometry -> quadrature -> {interp, fem}."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "circumlab"
+
+
+def package_imports(module: str) -> set[str]:
+    """Names of the circumlab modules that ``module`` imports."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("circumlab"):
+                continue
+            base = (node.module or "").removeprefix("circumlab").lstrip(".")
+            if base:
+                names.add(base.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("circumlab."))
+    return names
+
+
+def test_geometry_imports_only_errors():
+    assert package_imports("geometry") == {"errors"}
+
+
+@pytest.mark.parametrize("upper", ["fem", "interp", "mesh"])
+def test_quadrature_below_its_users(upper):
+    assert upper not in package_imports("quadrature")
+
+
+def test_interp_does_not_import_fem():
+    assert "fem" not in package_imports("interp")
+
+
+def test_import_scan_sees_relative_imports():
+    # fem imports quadrature and geometry (from .x import ...) and cli
+    # imports modules by name (from . import x)
+    assert {"geometry", "quadrature", "mesh"} <= package_imports("fem")
+    assert {"fem", "interp", "constants"} <= package_imports("cli")

@@ -7,6 +7,7 @@ from circumlab.errors import InconsistentSpec, InvalidExponent, UnsupportedDegre
 from circumlab.fields import ScalarField, get_field, polynomial_field
 from circumlab.geometry import Triangle, reference_triangle
 from circumlab.quadrature import (
+    SUP_GRID,
     SeminormSpec,
     barycentric_grid,
     integrate,
@@ -106,6 +107,8 @@ class TestSeminorms:
             seminorm(bare, SeminormSpec(2, 2), REF, make_rule(4))
         with pytest.raises(InconsistentSpec):
             seminorm(bare, SeminormSpec(1, 2), REF, make_rule(4))
+        with pytest.raises(InconsistentSpec):
+            seminorm(bare, SeminormSpec(2, math.inf), REF)
 
     def test_invalid_exponent(self):
         with pytest.raises(InvalidExponent):
@@ -133,10 +136,27 @@ class TestSeminorms:
         f = get_field("sinsin")
         tri = Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8))
         vals = [
-            seminorm(f, SeminormSpec(1, math.inf), tri, sup_grid=g)
+            seminorm(f, SeminormSpec(1, math.inf), tri, sup_rule(g))
             for g in (8, 16, 32, 64)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_sup_default_is_the_sup_grid(self):
+        f = get_field("sinsin")
+        tri = Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8))
+        for m in (0, 1, 2):
+            spec = SeminormSpec(m, math.inf)
+            assert seminorm(f, spec, tri) == seminorm(f, spec, tri, sup_rule(SUP_GRID))
+
+    def test_given_rule_used_at_inf(self):
+        f = get_field("sinsin")
+        tri = Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8))
+        rule = make_rule(4)
+        x, y, _ = physical_points(rule, tri)
+        want = max(float(np.max(np.abs(g))) for g in f.grad(x, y))
+        got = seminorm(f, SeminormSpec(1, math.inf), tri, rule)
+        assert got == want
+        assert got != seminorm(f, SeminormSpec(1, math.inf), tri)
 
     def test_auto_matches_fixed_high_degree(self):
         f = get_field("sinsin")
