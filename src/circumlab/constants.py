@@ -17,10 +17,12 @@ the reciprocal of A_2 on the reference triangle and solves
 that constant and from the vertex-constrained second-order quotient D_2)
 are checked as inequalities by ``lemma_inequality_audit``.
 
-Gram matrices use the L2-orthonormal basis of ``_basis`` (mass = 2S * I
-exactly), assembled with quadrature whose exactness degree covers the
-polynomial integrands; constraints are reduced by a rank-revealing SVD
-null space and the symmetric-definite pencil is solved densely.
+Gram matrices use the L2-orthonormal basis of ``_basis``, assembled with
+quadrature whose exactness degree covers the polynomial integrands;
+constraints are reduced by a rank-revealing SVD null space.  The mass
+matrix is exactly 2S * I, so A and D are standard symmetric eigenproblems
+scaled by 1/(2S) and only B is a pencil, with a condition gate.  The
+audit takes B and D from one set of Gram matrices per triangle.
 
 Everything that does not depend on the triangle is built once per degree
 and kept as read-only arrays: the basis table at the rule points (which
@@ -33,14 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 import scipy.linalg
 
 from . import _basis
 from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
-from .geometry import Triangle, canonicalize, metrics
+from .geometry import Triangle, canonicalize, edge_lengths_and_area, metrics
 from .quadrature import _read_only, make_rule
 
 # Published approximate value of the vertex-constrained second-order
@@ -54,17 +56,20 @@ COND_LIMIT = 1e13
 PENCIL_SPREAD_FLOOR = 1e-14
 MIN_DEGREE = 4
 MAX_SUBSPACE_DEGREE = 14
+_ROOT_REL_TOL = 1e-12
+# offset, relative to the longest edge, below which a leg counts as axis-parallel
+_AXIS_REL_TOL = 1e-9
 
 
-def babuska_aziz_root(tol: float = 1e-12) -> float:
+def babuska_aziz_root() -> float:
     """Maximum positive solution x of 1/x + tan(1/x) = 0 (about 0.49291).
 
     Bisects g(y) = y + tan(y) for y = 1/x on (pi/2, pi), where g increases
-    from -inf to pi, then returns x = 1/y.
+    from -inf to pi, to ``_ROOT_REL_TOL`` relative, then returns x = 1/y.
     """
     lo = math.pi / 2.0 + 1e-9
     hi = math.pi - 1e-9
-    while hi - lo > tol * lo:
+    while hi - lo > _ROOT_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         if mid + math.tan(mid) < 0.0:
             lo = mid
@@ -181,67 +186,47 @@ def _null_space(degree: int, constraint: str, sub_degree: int) -> np.ndarray:
     return z
 
 
-class _TrianglePencil:
-    """Gram matrices of one triangle at max degree N, each formed on first
-    use from the shared reference table of degree N."""
-
-    def __init__(self, tri: Triangle, degree: int):
-        self.degree = degree
-        v = tri.vertices
-        jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        self._det = float(np.linalg.det(jac))  # = 2S > 0 for CCW triangles
-        self._inv = np.linalg.inv(jac)
-        weights, self._tab = _rule_table(degree)
-        self._wc = (weights * self._det)[:, None]
-
-    @cached_property
-    def G0(self) -> np.ndarray:
-        return self._det * np.eye(_basis_size(self.degree))
-
-    @cached_property
-    def G1(self) -> np.ndarray:
-        tab, wc = self._tab, self._wc
-        (i11, i12), (i21, i22) = self._inv
-        gx = i11 * tab["x"] + i21 * tab["y"]
-        gy = i12 * tab["x"] + i22 * tab["y"]
-        g1 = gx.T @ (wc * gx) + gy.T @ (wc * gy)
-        return 0.5 * (g1 + g1.T)
-
-    @cached_property
-    def G2(self) -> np.ndarray:
-        tab, wc = self._tab, self._wc
-        (i11, i12), (i21, i22) = self._inv
-        hxx = i11 * i11 * tab["xx"] + 2 * i11 * i21 * tab["xy"] + i21 * i21 * tab["yy"]
-        hxy = (
-            i11 * i12 * tab["xx"]
-            + (i11 * i22 + i12 * i21) * tab["xy"]
-            + i21 * i22 * tab["yy"]
+def _grams(tri: Triangle, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """2S and the gradient and Hessian Gram matrices G1, G2 of ``tri`` in
+    the degree-``degree`` basis, mapped affinely from the shared reference
+    table; the mass Gram is 2S * I and is never formed."""
+    if not MIN_DEGREE <= degree <= MAX_SUBSPACE_DEGREE:
+        raise UnsupportedDegree(
+            f"subspace degree {degree} outside [{MIN_DEGREE}, {MAX_SUBSPACE_DEGREE}]"
         )
-        hyy = i12 * i12 * tab["xx"] + 2 * i12 * i22 * tab["xy"] + i22 * i22 * tab["yy"]
-        g2 = hxx.T @ (wc * hxx) + hyy.T @ (wc * hyy) + 2.0 * (hxy.T @ (wc * hxy))
-        return 0.5 * (g2 + g2.T)
+    v = tri.vertices
+    jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
+    det = float(np.linalg.det(jac))  # = 2S > 0 for CCW triangles
+    (i11, i12), (i21, i22) = np.linalg.inv(jac)
+    weights, tab = _rule_table(degree)
+    wc = (weights * det)[:, None]
+    gx = i11 * tab["x"] + i21 * tab["y"]
+    gy = i12 * tab["x"] + i22 * tab["y"]
+    g1 = gx.T @ (wc * gx) + gy.T @ (wc * gy)
+    hxx = i11 * i11 * tab["xx"] + 2 * i11 * i21 * tab["xy"] + i21 * i21 * tab["yy"]
+    hxy = (
+        i11 * i12 * tab["xx"]
+        + (i11 * i22 + i12 * i21) * tab["xy"]
+        + i21 * i22 * tab["yy"]
+    )
+    hyy = i12 * i12 * tab["xx"] + 2 * i12 * i22 * tab["xy"] + i22 * i22 * tab["yy"]
+    g2 = hxx.T @ (wc * hxx) + hyy.T @ (wc * hyy) + 2.0 * (hxy.T @ (wc * hxy))
+    return det, 0.5 * (g1 + g1.T), 0.5 * (g2 + g2.T)
 
-    def vertex_rows(self) -> np.ndarray:
-        return _constraint_rows(self.degree, "vertices")
 
-
-def _right_triangle_ordered(tri: Triangle, rel_tol: float = 1e-9) -> Triangle:
+def _right_triangle_ordered(tri: Triangle) -> Triangle:
     """Reorder vertices as (corner, corner+(a,0), corner+(0,b)) or raise.
 
     The triangle must have its right angle between axis-parallel legs.
     """
     v = [tri.p1, tri.p2, tri.p3]
-    scale = max(
-        math.hypot(v[i][0] - v[j][0], v[i][1] - v[j][1])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    tol = _AXIS_REL_TOL * max(edge_lengths_and_area(tri.vertices)[:3])
     for i in range(3):
         c = v[i]
         others = [v[(i + 1) % 3], v[(i + 2) % 3]]
         for q1, q2 in (others, others[::-1]):
-            horiz = abs(q1[1] - c[1]) <= rel_tol * scale and q1[0] > c[0]
-            vert = abs(q2[0] - c[0]) <= rel_tol * scale and q2[1] > c[1]
+            horiz = abs(q1[1] - c[1]) <= tol and q1[0] > c[0]
+            vert = abs(q2[0] - c[0]) <= tol and q2[1] > c[1]
             if horiz and vert:
                 return Triangle(c, q1, q2)
     raise NotApplicable(
@@ -249,41 +234,43 @@ def _right_triangle_ordered(tri: Triangle, rel_tol: float = 1e-9) -> Triangle:
     )
 
 
-def _solve(num: np.ndarray, den: np.ndarray, z: np.ndarray) -> float:
-    """Square root of the smallest eigenvalue of the pencil (num, den) on
+def _solve(num: np.ndarray, z: np.ndarray, den: np.ndarray | None = None) -> float:
+    """Smallest eigenvalue of the pencil (num, den), or of num alone, on
     the span of ``z``, an orthonormal basis of a constrained subspace of
     the leading len(z) basis functions."""
     k = len(z)
     if z.shape[1] == 0:
         raise NotApplicable("constraints eliminate the whole subspace")
     a = z.T @ num[:k, :k] @ z
-    b = z.T @ den[:k, :k] @ z
-    cond = np.linalg.cond(b)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditioned(
-            f"denominator Gram condition {cond:.2e} exceeds {COND_LIMIT:.0e}; "
-            "lower the subspace degree"
-        )
-    vals = scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T), eigvals_only=True)
+    a = 0.5 * (a + a.T)
+    if den is None:
+        vals = scipy.linalg.eigh(a, eigvals_only=True)
+    else:
+        b = z.T @ den[:k, :k] @ z
+        cond = np.linalg.cond(b)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise IllConditioned(
+                f"denominator Gram condition {cond:.2e} exceeds {COND_LIMIT:.0e}; "
+                "lower the subspace degree"
+            )
+        vals = scipy.linalg.eigh(a, 0.5 * (b + b.T), eigvals_only=True)
     if vals[0] < PENCIL_SPREAD_FLOOR * vals[-1]:
         raise IllConditioned(
             f"pencil eigenvalue spread {vals[0]:.2e} / {vals[-1]:.2e} is below "
             "double-precision resolution (triangle too flat for this degree); "
             "lower the subspace degree"
         )
-    return float(math.sqrt(vals[0]))
+    return float(vals[0])
 
 
-def _estimate(tri: Triangle, kind: str, num_key: str, den_key: str,
-              constraint: str, degree: int) -> QuotientEstimate:
-    if not MIN_DEGREE <= degree <= MAX_SUBSPACE_DEGREE:
-        raise UnsupportedDegree(
-            f"subspace degree {degree} outside [{MIN_DEGREE}, {MAX_SUBSPACE_DEGREE}]"
-        )
-    pencil = _TrianglePencil(tri, degree)
-    num, den = getattr(pencil, num_key), getattr(pencil, den_key)
+def _estimate(tri: Triangle, kind: str, constraint: str, degree: int,
+              num: np.ndarray, den: np.ndarray | None = None,
+              mass: float = 1.0) -> QuotientEstimate:
+    """History of sqrt(lambda_min / ``mass``) of ``_solve`` over the
+    subspace degrees: ``den`` is the denominator Gram matrix, or None when
+    the denominator is the mass matrix ``mass`` * I."""
     history = [
-        (d, _solve(num, den, _null_space(degree, constraint, d)))
+        (d, math.sqrt(_solve(num, _null_space(degree, constraint, d), den) / mass))
         for d in range(MIN_DEGREE, degree + 1)
     ]
     return QuotientEstimate(
@@ -308,17 +295,27 @@ def rayleigh_A(tri: Triangle, edge_index: int = 1, degree: int = 12) -> Quotient
         kind, constraint = "A1", "edge1"
     else:
         kind, constraint = "A2-edge", "edge2"
-    return _estimate(ordered, kind, "G1", "G0", constraint, degree)
+    two_s, g1, _ = _grams(ordered, degree)
+    return _estimate(ordered, kind, constraint, degree, g1, mass=two_s)
+
+
+def _b_and_d(tri: Triangle, degree: int) -> tuple[float, float]:
+    """The B and D estimates of ``tri`` from one set of Gram matrices."""
+    two_s, g1, g2 = _grams(tri, degree)
+    return (_estimate(tri, "B", "vertices", degree, g2, g1).value,
+            _estimate(tri, "D", "vertices", degree, g2, mass=two_s).value)
 
 
 def rayleigh_B(tri: Triangle, degree: int = 12) -> QuotientEstimate:
     """Second-order/first-order quotient over vertex-vanishing polynomials."""
-    return _estimate(tri, "B", "G2", "G1", "vertices", degree)
+    _, g1, g2 = _grams(tri, degree)
+    return _estimate(tri, "B", "vertices", degree, g2, g1)
 
 
 def rayleigh_D(tri: Triangle, degree: int = 12) -> QuotientEstimate:
     """Second-order/zeroth-order quotient over vertex-vanishing polynomials."""
-    return _estimate(tri, "D", "G2", "G0", "vertices", degree)
+    two_s, _, g2 = _grams(tri, degree)
+    return _estimate(tri, "D", "vertices", degree, g2, mass=two_s)
 
 
 @dataclass(frozen=True)
@@ -382,8 +379,7 @@ def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
         right = None
     if right is not None:
         r = metrics(right).R_K
-        b_est = rayleigh_B(right, degree).value
-        d_est = rayleigh_D(right, degree).value
+        b_est, d_est = _b_and_d(right, degree)
         entries.append(AuditEntry("B_right_legs", b_est, a2 / (2.0 * r),
                                   b_est >= a2 / (2.0 * r)))
         bound_d = D2_REFERENCE / (4.0 * r * r)
@@ -394,8 +390,7 @@ def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
         (-1.0, 0.0), (1.0, 0.0), (form.s, form.eta * form.t)
     )
     r = metrics(canon_unit).R_K
-    b_est = rayleigh_B(canon_unit, degree).value
-    d_est = rayleigh_D(canon_unit, degree).value
+    b_est, d_est = _b_and_d(canon_unit, degree)
     bound_b = a2 / (2.0 ** helpers.phi * math.sqrt(3.0) * r)
     bound_d = D2_REFERENCE / (2.0 ** helpers.mu * 3.0 * r * r)
     entries.append(AuditEntry("B_longest_edge", b_est, bound_b, b_est >= bound_b))

@@ -29,6 +29,7 @@ from .errors import DegenerateTriangle, InvalidFamily, InvalidThreshold
 AREA_FLOOR = 1e-14
 
 _SQRT3 = math.sqrt(3.0)
+_IDENTITY_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -291,11 +292,11 @@ def canonicalize(tri: Triangle) -> CanonicalForm:
     return CanonicalForm(s=s, t=t, eta=min(eta, _SQRT3), a=a, b=b, X=X, Y=Y, ratio=L / 2.0)
 
 
-def circumradius_identity_check(tri: Triangle, rel_tol: float = 1e-12) -> bool:
-    """True iff ratio * X*Y/eta reproduces R_K to ``rel_tol`` relative."""
+def circumradius_identity_check(tri: Triangle) -> bool:
+    """True iff ratio * X*Y/eta reproduces R_K to _IDENTITY_REL_TOL relative."""
     form = canonicalize(tri)
     r_k = metrics(tri).R_K
-    return abs(form.ratio * form.canonical_circumradius - r_k) <= rel_tol * r_k
+    return abs(form.ratio * form.canonical_circumradius - r_k) <= _IDENTITY_REL_TOL * r_k
 
 
 def needle_triangle(h: float, alpha: float) -> Triangle:

@@ -107,9 +107,9 @@ def error_report(
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
     The one-element case of the mesh error functionals.  ``rule`` fixes
-    the rule below p = inf (p = inf always takes the sup grid).  With it
-    unset, polynomial fields get one rule exact for all three seminorms and
-    other fields one degree-doubling loop over all three.
+    the points at every p.  With it unset, p = inf takes the sup grid,
+    polynomial fields get one rule exact for all three seminorms and other
+    fields one degree-doubling loop over all three.
     """
     if not p >= 1.0:
         raise InvalidExponent(f"p = {p} below 1")
@@ -122,7 +122,7 @@ def error_report(
         e0, e1 = at_rule.error_power(nodal, p)
         return [lp_root(e, p) for e in (e0, e1, at_rule.hessian_power(p))]
 
-    if rule is not None and not math.isinf(p):
+    if rule is not None:
         err_0p, err_1p, semi_2p = evaluate(rule)
     else:
         err_0p, err_1p, semi_2p = adaptive_values(evaluate, p, v.degree)

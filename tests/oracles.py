@@ -2,18 +2,21 @@
 
 Everything here is deliberately slow and simple: exact rational monomial
 integrals over an arbitrary triangle via affine pullback and the factorial
-formula, and an exact-arithmetic eigensolve route for the quotient
-estimates built on a raw monomial basis, and the element-by-element loop
-that mesh validation was first written as.  These never share code with
-the library paths they check.
+formula, two eigensolve routes for the quotient estimates built on a raw
+monomial basis (in float, and exactly reduced with a 50-digit
+eigensolve), and the element-by-element loop that mesh validation was
+first written as.  These never share code with the library paths they
+check.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.linalg
+import sympy
 
 from circumlab.errors import DegenerateTriangle, NonConforming
 
@@ -70,24 +73,25 @@ def monomial_pairs(degree: int) -> list[tuple[int, int]]:
     return [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
 
 
-def monomial_grams(vertices, degree: int):
-    """Float Gram matrices (mass, gradient, weighted Hessian) of the raw
-    monomial basis x^i y^j, i + j <= degree, from exact rational moments."""
+def exact_monomial_grams(vertices, degree: int):
+    """Exact rational Gram matrices (mass, gradient, weighted Hessian), as
+    nested lists of Fractions, of the raw monomial basis x^i y^j,
+    i + j <= degree."""
     pairs = monomial_pairs(degree)
     mom = monomial_integrals(vertices, 2 * degree)
     m = len(pairs)
-    g0 = np.zeros((m, m))
-    g1 = np.zeros((m, m))
-    g2 = np.zeros((m, m))
+    g0 = [[Fraction(0)] * m for _ in range(m)]
+    g1 = [[Fraction(0)] * m for _ in range(m)]
+    g2 = [[Fraction(0)] * m for _ in range(m)]
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs):
-            g0[a, b] = float(mom[(i + k, j + l)])
+            g0[a][b] = mom[(i + k, j + l)]
             acc = Fraction(0)
             if i and k:
                 acc += i * k * mom[(i + k - 2, j + l)]
             if j and l:
                 acc += j * l * mom[(i + k, j + l - 2)]
-            g1[a, b] = float(acc)
+            g1[a][b] = acc
             acc = Fraction(0)
             if i > 1 and k > 1:
                 acc += i * (i - 1) * k * (k - 1) * mom[(i + k - 4, j + l)]
@@ -95,8 +99,14 @@ def monomial_grams(vertices, degree: int):
                 acc += j * (j - 1) * l * (l - 1) * mom[(i + k, j + l - 4)]
             if i and j and k and l:
                 acc += 2 * i * j * k * l * mom[(i + k - 2, j + l - 2)]
-            g2[a, b] = float(acc)
+            g2[a][b] = acc
     return pairs, g0, g1, g2
+
+
+def monomial_grams(vertices, degree: int):
+    """``exact_monomial_grams`` rounded to float."""
+    pairs, *grams = exact_monomial_grams(vertices, degree)
+    return (pairs, *(np.array(g, dtype=float) for g in grams))
 
 
 def quotient_by_monomials(vertices, degree: int, kind: str,
@@ -136,6 +146,39 @@ def quotient_by_monomials(vertices, degree: int, kind: str,
     lam = scipy.linalg.eigh(z.T @ num @ z, z.T @ den @ z, eigvals_only=True,
                             subset_by_index=[0, 0])[0]
     return math.sqrt(max(lam, 0.0))
+
+
+def quotient_50_digits(vertices, degree: int, kind: str) -> mpmath.mpf:
+    """B ("B", Hessian/gradient) or D ("D", Hessian/value) over the
+    polynomials of degree <= ``degree`` vanishing at the vertices, to 50
+    digits.
+
+    The Gram matrices and the vertex constraints are exact rationals; the
+    constraints are eliminated with a rational ``sympy`` null space, so
+    the reduced pencil is exact too.  Only its eigensolve is approximate:
+    an ``mpmath`` Cholesky of the denominator and ``eigsy`` of the
+    transformed numerator, at 50 significant digits.
+    """
+    pairs, g0, g1, g2 = exact_monomial_grams(vertices, degree)
+    pts = [(Fraction(float(p[0])), Fraction(float(p[1]))) for p in vertices]
+
+    def rational(matrix):
+        return sympy.Matrix([[sympy.Rational(f.numerator, f.denominator) for f in row]
+                             for row in matrix])
+
+    rows = rational([[x ** i * y ** j for i, j in pairs] for x, y in pts])
+    z = sympy.Matrix.hstack(*rows.nullspace())
+    num = z.T * rational(g2) * z
+    den = z.T * rational(g1 if kind == "B" else g0) * z
+    with mpmath.workdps(50):
+        def mp(matrix):
+            return mpmath.matrix([[mpmath.mpf(q.p) / q.q for q in matrix.row(r)]
+                                  for r in range(matrix.rows)])
+
+        linv = mpmath.inverse(mpmath.cholesky(mp(den)))
+        reduced = linv * mp(num) * linv.T
+        vals = mpmath.eigsy(0.5 * (reduced + reduced.T), eigvals_only=True)
+        return mpmath.sqrt(min(vals))
 
 
 def circumradius_and_kobayashi_sq(vertices) -> tuple[Fraction, Fraction]:

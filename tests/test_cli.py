@@ -79,6 +79,15 @@ class TestInterpCommand:
         assert code == 2
         assert out == ""
 
+    def test_quad_degree_applies_at_p_inf(self, capsys):
+        argv = ("interp", "0,0", "1,0", "0.3,0.9", "--p", "inf", "--format", "json")
+        _, grid = run(capsys, *argv)
+        code, fixed = run(capsys, *argv, "--quad-degree", "10")
+        assert code == 0
+        grid, fixed = json.loads(grid), json.loads(fixed)
+        assert fixed["config"]["quad_degree"] == 10
+        assert fixed["results"]["semi_2p"] != grid["results"]["semi_2p"]
+
     @pytest.mark.parametrize("p", ["abc", "2,5", ""])
     def test_non_numeric_p_exit_2(self, capsys, p):
         code = cli.main(["interp", "0,0", "1,0", "0,1", "--p", p])

@@ -6,7 +6,6 @@ import pytest
 from circumlab import _basis, constants
 from circumlab.constants import (
     D2_REFERENCE,
-    _TrianglePencil,
     a2_constant,
     babuska_aziz_root,
     exponent_helpers,
@@ -22,9 +21,10 @@ from circumlab.errors import (
     UnsupportedDegree,
 )
 from circumlab.geometry import Triangle, metrics, reference_triangle
-from oracles import quotient_by_monomials
+from oracles import quotient_50_digits, quotient_by_monomials
 
 REF = reference_triangle()
+GENERIC = Triangle((0.1, -0.2), (1.2, 0.1), (0.3, 0.9))
 
 
 def assert_history_nonincreasing(est, slack=1e-10):
@@ -89,9 +89,13 @@ class TestRayleighA:
         assert abs(est.value - a2_constant()) / a2_constant() <= 0.01
         assert abs(est.uncertainty) <= 1e-9
 
-    def test_matches_monomial_oracle(self):
-        got = rayleigh_A(REF, 1, 6).value
-        want = quotient_by_monomials(REF.vertices, 6, "A", 1)
+    @pytest.mark.parametrize("tri, edge", [
+        (REF, 1),
+        (Triangle((0.2, -0.1), (1.5, -0.1), (0.2, 0.6)), 2),
+    ], ids=["reference", "A2-edge"])
+    def test_matches_monomial_oracle(self, tri, edge):
+        got = rayleigh_A(tri, edge, 6).value
+        want = quotient_by_monomials(tri.vertices, 6, "A", edge)
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -110,15 +114,14 @@ class TestRayleighB:
         assert est.value >= 2.0187
 
     def test_constraint_dimension(self):
-        pencil = _TrianglePencil(REF, 6)
-        rows = pencil.vertex_rows()
+        rows = constants._constraint_rows(6, "vertices")
         assert np.linalg.matrix_rank(rows) == 3
         # x + y - 1 vanishes at (1,0) and (0,1) but not (0,0): infeasible
         vals = [p[0] + p[1] - 1 for p in REF.vertices]
         assert any(abs(v) > 1e-12 for v in vals)
 
     def test_matches_monomial_oracle(self):
-        tri = Triangle((0.1, -0.2), (1.2, 0.1), (0.3, 0.9))
+        tri = GENERIC
         got = rayleigh_B(tri, 5).value
         want = quotient_by_monomials(tri.vertices, 5, "B")
         assert got == pytest.approx(want, rel=1e-8)
@@ -145,9 +148,10 @@ class TestRayleighD:
         big = rayleigh_D(Triangle((0, 0), (lam, 0), (0, lam)), 8).value
         assert big == pytest.approx(small / lam ** 2, rel=1e-8)
 
-    def test_matches_monomial_oracle(self):
-        got = rayleigh_D(REF, 6).value
-        want = quotient_by_monomials(REF.vertices, 6, "D")
+    @pytest.mark.parametrize("tri", [REF, GENERIC], ids=["reference", "generic"])
+    def test_matches_monomial_oracle(self, tri):
+        got = rayleigh_D(tri, 6).value
+        want = quotient_by_monomials(tri.vertices, 6, "D")
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_rotation_translation_invariance(self):
@@ -165,6 +169,16 @@ class TestRayleighD:
             tri = Triangle(move(base.p1), move(base.p2), move(base.p3))
             assert rayleigh_B(tri, 8).value == pytest.approx(ref_b, rel=1e-9)
             assert rayleigh_D(tri, 8).value == pytest.approx(ref_d, rel=1e-9)
+
+
+@pytest.mark.parametrize("tri", [REF, GENERIC], ids=["reference", "generic"])
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_matches_50_digit_oracle(kind, tri):
+    # the exactly reduced pencil solved at 50 digits: what remains is the
+    # engine's own rounding
+    got = {"B": rayleigh_B, "D": rayleigh_D}[kind](tri, 6).value
+    want = quotient_50_digits(tri.vertices, 6, kind)
+    assert abs(got - want) <= 1e-11 * want
 
 
 def _clear_reference_caches():
@@ -210,7 +224,7 @@ class TestReferenceCaches:
         rayleigh_A(self.RIGHT, 1, 8)
         rayleigh_B(self.RIGHT, 8)
         weights, tab = constants._rule_table(8)
-        arrays = [weights, *tab.values(), _TrianglePencil(REF, 8).vertex_rows(),
+        arrays = [weights, *tab.values(), constants._constraint_rows(8, "vertices"),
                   constants._constraint_rows(8, "edge1"),
                   constants._null_space(8, "vertices", 6)]
         for a in arrays:
@@ -236,10 +250,49 @@ class TestReferenceCaches:
         # the degree-6 null space of the degree-8 vertex rows: the graded
         # ordering puts the degree <= 6 polynomials in the first 28 columns
         z = constants._null_space(8, "vertices", 6)
-        rows = _TrianglePencil(REF, 8).vertex_rows()
+        rows = constants._constraint_rows(8, "vertices")
         assert z.shape == (28, 25)
         assert np.abs(rows[:, :28] @ z).max() <= 1e-13
         assert np.allclose(z.T @ z, np.eye(25), atol=1e-13)
+
+
+class TestGramSharing:
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls = []
+        grams = constants._grams
+
+        def counting(tri, degree):
+            calls.append(degree)
+            return grams(tri, degree)
+
+        monkeypatch.setattr(constants, "_grams", counting)
+        return calls
+
+    @pytest.mark.parametrize("tri, builds", [
+        (REF, 2),  # the right-legs frame and the canonical frame
+        (Triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)), 1),
+    ], ids=["right", "equilateral"])
+    def test_audit_builds_once_per_frame(self, gram_calls, tri, builds):
+        lemma_inequality_audit(tri, 8)
+        assert gram_calls == [8] * builds
+
+    def test_mass_denominator_skips_condition_number(self, monkeypatch):
+        # the mass Gram is 2S * I, whose condition number is 1
+        calls = []
+        cond = np.linalg.cond
+
+        def counting(b):
+            calls.append(b)
+            return cond(b)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        rayleigh_D(REF, 8)
+        rayleigh_A(REF, 1, 8)
+        rayleigh_A(REF, 2, 8)
+        assert calls == []
+        rayleigh_B(REF, 8)
+        assert len(calls) == 8 - constants.MIN_DEGREE + 1
 
 
 class TestAudit:

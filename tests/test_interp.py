@@ -122,6 +122,15 @@ class TestErrorReport:
         with pytest.raises(InvalidExponent):
             error_report(REF, get_field("x2"), 0.5)
 
+    def test_rule_fixes_the_sup_points(self):
+        # at p = inf a given rule replaces the sup grid, as in ``seminorm``
+        tri = Triangle((0, 0), (1, 0), (0.3, 0.9))
+        v = get_field("sinsin")
+        rep = error_report(tri, v, math.inf, rule=make_rule(10))
+        want = quadrature.seminorm(v, quadrature.SeminormSpec(2, math.inf), tri, make_rule(10))
+        assert rep.semi_2p == want
+        assert rep.semi_2p != error_report(tri, v, math.inf).semi_2p
+
     def test_p_not_two_records_quotient(self):
         rep = error_report(REF, get_field("x2"), 4.0)
         assert rep.empirical_quotient == pytest.approx(
