@@ -2,9 +2,9 @@
 
 Subcommands: triangle, interp, constants, mesh, fem.  Reports are written
 as CSV and/or JSON (plus an optional SVG convergence plot) under --out;
-the primary report is also printed to stdout.  Identical configurations
-produce byte-identical outputs: floats are formatted with 17 significant
-digits and every random sweep is seeded (the seed is echoed).
+the primary report is also printed to stdout; --format csv is a usage
+error for a report with no CSV table.  Identical configurations produce
+byte-identical outputs (see ``report``); every random sweep is seeded.
 
 Exit codes: 0 success (audits pass), 1 an asserted bound failed, 2 usage
 error, 3 degenerate triangle input, 4 numerical failure (no convergence /
@@ -67,6 +67,13 @@ def _triangle_from_args(args) -> Triangle:
     return Triangle(*(_parse_vertex(t) for t in args.vertices))
 
 
+def _no_csv_table(args) -> None:
+    """Reject --format csv for a report that has no CSV table."""
+    if args.format == "csv":
+        raise UsageError(f"this {args.command} report has no CSV table; "
+                         "use --format json or both")
+
+
 def _emit(args, name: str, columns, rows, json_doc: str) -> None:
     if args.format in ("csv", "both") and columns is not None:
         text = report.csv_text(columns, rows)
@@ -79,6 +86,7 @@ def _emit(args, name: str, columns, rows, json_doc: str) -> None:
 
 
 def _cmd_triangle(args) -> int:
+    _no_csv_table(args)
     tri = _triangle_from_args(args)
     m = metrics(tri)
     flags = condition_flags(m, args.theta0, args.theta1, args.sigma)
@@ -121,6 +129,8 @@ def _parse_p(token: str) -> float:
 
 
 def _cmd_interp(args) -> int:
+    if args.needle_study is None:
+        _no_csv_table(args)
     field = get_field(args.field)
     p = _parse_p(args.p)
     if args.needle_study is not None:
@@ -165,6 +175,8 @@ def _audit_triangles(args, rng) -> list[tuple[str, Triangle]]:
 
 
 def _cmd_constants(args) -> int:
+    if args.babuska_aziz or not args.audit:
+        _no_csv_table(args)
     if args.babuska_aziz:
         root = constants.babuska_aziz_root()
         residual = 1.0 / root + math.tan(1.0 / root)
@@ -222,6 +234,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    _no_csv_table(args)
     if args.check:
         try:
             with open(args.check, encoding="utf-8") as fh:

@@ -22,20 +22,19 @@ import scipy.sparse.linalg
 
 from .errors import InconsistentSpec, NoConvergence, SingularSystem
 from .fields import ScalarField, neg_laplacian
-from .geometry import element_geometry
 from .mesh import Mesh, stats
 from .quadrature import FieldAtRule, make_rule, physical_points
 
 LOAD_QUAD_DEGREE = 4
 ERROR_QUAD_DEGREE = 6
-# the factor-preconditioned solve needs one or two steps; the cap only
-# bounds the work a broken factor can waste
+# refinement on the factor needs one or two steps; the cap only bounds the
+# work a broken factor can waste
 MAX_CG_ITER = 20
 
 
 def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
     """Unconstrained P1 stiffness matrix (exact per-element closed form)."""
-    areas, gx, gy = element_geometry(mesh.element_coords())
+    areas, gx, gy = mesh.geometry
     ke = areas[:, None, None] * (
         gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     )
@@ -51,7 +50,7 @@ def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
 def load_vector(mesh: Mesh, f: ScalarField) -> np.ndarray:
     """int f * hat_i by per-element quadrature of degree 4."""
     rule = make_rule(LOAD_QUAD_DEGREE)
-    xq, yq, w = physical_points(rule, mesh.element_coords())  # (nq, nt)
+    xq, yq, w = physical_points(rule, mesh.coords)  # (nq, nt)
     fv = np.asarray(f.value(xq, yq), dtype=float)
     contrib = ((w * fv)[:, :, None] * rule.points[:, None, :]).sum(axis=0)
     b = np.zeros(mesh.n_vertices)
@@ -95,17 +94,15 @@ class FemSolution:
 
 def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
              max_iter: int | None = None) -> tuple[np.ndarray, SolverReport]:
-    """Conjugate gradients on the free block, preconditioned by one sparse
-    LU factor of it.
-
-    The factor (SuperLU on the minimum-degree ordering of A^T + A, pivoting
-    on the diagonal, which is stable for the SPD stiffness block) is all
-    but exact, so CG acts as iterative refinement and usually stops after
-    one step; the report still carries the iterations and the residual
-    history.  Deterministic for fixed input.  Raises SingularSystem, a
-    NoConvergence, when the block cannot be factored, and NoConvergence
-    (with the residual history so far) when max_iter (default
-    ``MAX_CG_ITER``) is exhausted.
+    """Direct solve of the free block by one sparse LU factor (SuperLU on
+    the minimum-degree ordering of A^T + A, pivoting on the diagonal, which
+    is stable for the SPD stiffness block), with iterative refinement: each
+    step adds the factor's solution of A d = r to x and recomputes the true
+    residual r = b - A x, until |r| <= rel_tol * |b|, usually after one
+    step.  The report carries the steps and the residual history.
+    Deterministic for fixed input.  Raises SingularSystem, a NoConvergence,
+    when the block cannot be factored, and NoConvergence (with the history
+    so far) after max_iter (default ``MAX_CG_ITER``) steps.
     """
     a = sys.matrix
     b = sys.rhs
@@ -125,23 +122,14 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
                                       options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularSystem(str(exc)) from exc
-    r = b.copy()
-    z = lu.solve(r)
-    p = z.copy()
-    rz = float(r @ z)
+    r = b
     for it in range(1, max_iter + 1):
-        ap = a @ p
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += lu.solve(r)
+        r = b - a @ x
         res = float(np.linalg.norm(r)) / bnorm
         history.append(res)
         if res <= rel_tol:
             return x, SolverReport(it, res, history)
-        z = lu.solve(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     raise NoConvergence(max_iter, history)
 
 
@@ -163,11 +151,16 @@ class MeshErrorContext(FieldAtRule):
     """``FieldAtRule`` for the elements of a mesh at the degree-6 error
     rule, plus the field's values at the mesh vertices.  The error
     functionals below take it in place of their field, so that one study
-    row evaluates the exact field once per evaluator."""
+    row evaluates the exact field once per evaluator.  Its element
+    coordinates and geometry are the mesh's own."""
 
     def __init__(self, mesh: Mesh, field: ScalarField):
-        super().__init__(mesh.element_coords(), field, make_rule(ERROR_QUAD_DEGREE))
+        super().__init__(mesh.coords, field, make_rule(ERROR_QUAD_DEGREE))
         self.mesh = mesh
+
+    @property
+    def geometry(self):
+        return self.mesh.geometry
 
     @cached_property
     def nodal(self) -> np.ndarray:

@@ -18,6 +18,9 @@ from .fields import ScalarField
 from .geometry import Triangle, TriangleMetrics, element_geometry, metrics, needle_triangle
 from .quadrature import FieldAtRule, QuadratureRule, adaptive_values, lp_root
 
+# the constant of the circumradius bound checked away from p = 2
+EMPIRICAL_CP = 1.0
+
 
 @dataclass(frozen=True)
 class AffineFunction:
@@ -57,8 +60,8 @@ class InterpErrorReport:
     ratio_1 = err_1p / semi_2p (0 when both vanish); err_full is the
     W^{1,p} norm (err_0p^p + err_1p^p)^(1/p).  For p = 2,
     bound_satisfied checks err_1p <= C_K * semi_2p; for other p it checks
-    err_1p <= empirical_cp * R_K * semi_2p against the recorded
-    ``empirical_cp``, both up to 1e-10 * (err_1p + bound + |I_h v|_{1,p,K}):
+    err_1p <= EMPIRICAL_CP * R_K * semi_2p, recorded as ``empirical_cp``,
+    both up to 1e-10 * (err_1p + bound + |I_h v|_{1,p,K}):
     relative to the sides compared, with a rounding floor at the scale of
     the interpolant's own seminorm.  ``empirical_quotient`` stores
     err_1p / (R_K * semi_2p).  circumradius_le_one flags whether R_K <= 1,
@@ -102,7 +105,6 @@ def error_report(
     v: ScalarField,
     p: float = 2.0,
     rule: QuadratureRule | None = None,
-    empirical_cp: float = 1.0,
 ) -> InterpErrorReport:
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
@@ -135,7 +137,7 @@ def error_report(
     ratio_1 = err_1p / semi_2p if semi_2p > 0.0 else 0.0
     rk_bound = m.R_K * semi_2p
     quotient = err_1p / rk_bound if rk_bound > 0.0 else 0.0
-    bound = m.C_K * semi_2p if p == 2.0 else empirical_cp * rk_bound
+    bound = m.C_K * semi_2p if p == 2.0 else EMPIRICAL_CP * rk_bound
     ok = err_1p <= bound + 1e-10 * (err_1p + bound + ih_1p)
     return InterpErrorReport(
         triangle=m,
@@ -148,7 +150,7 @@ def error_report(
         kobayashi_bound=m.C_K,
         circumradius_bound=m.R_K,
         empirical_quotient=quotient,
-        empirical_cp=empirical_cp,
+        empirical_cp=EMPIRICAL_CP,
         bound_satisfied=bool(ok),
         circumradius_le_one=bool(m.R_K <= 1.0),
     )

@@ -12,20 +12,28 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
 from .geometry import (AREA_FLOOR, Triangle, _degenerate, edge_lengths_and_area,
-                       shape_quantities, signed_area)
+                       element_geometry, shape_quantities, signed_area)
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangulation with vertex boundary flags.
 
     vertices: (nv, 2) float array; boundary: (nv,) bool; triangles:
-    (nt, 3) int array, counterclockwise.  ``warnings`` collects parser
+    (nt, 3) int array, counterclockwise, held as read-only views so that
+    the cached geometry cannot go stale.  ``warnings`` collects parser
     notes (e.g. reoriented triangles) and is never serialized.
     """
 
@@ -35,9 +43,8 @@ class Mesh:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.boundary = np.asarray(self.boundary, dtype=bool)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        for name, dtype in (("vertices", float), ("boundary", bool), ("triangles", np.int64)):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype)))
 
     @property
     def n_vertices(self) -> int:
@@ -47,14 +54,17 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle(self, k: int) -> Triangle:
-        i, j, l = self.triangles[k]
-        return Triangle(tuple(self.vertices[i]), tuple(self.vertices[j]),
-                        tuple(self.vertices[l]))
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(nt, 3, 2) vertex coordinates per element, read-only."""
+        return _read_only(self.vertices[self.triangles])
 
-    def element_coords(self) -> np.ndarray:
-        """(nt, 3, 2) vertex coordinates per element."""
-        return self.vertices[self.triangles]
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``element_geometry`` of ``coords``: signed areas (nt,) and hat
+        gradients gx, gy (nt, 3), read-only.  Raises DegenerateTriangle on
+        the first element with a non-positive area."""
+        return tuple(map(_read_only, element_geometry(self.coords)))
 
 
 @dataclass(frozen=True)
@@ -98,19 +108,14 @@ def validate(mesh: Mesh) -> None:
     boundary flags must mark exactly the vertices of edges used by a single
     triangle.
 
-    Of the duplicate-triangle and over-shared-edge faults, the one reported
-    is the first met when the elements are taken in index order, each
-    checked for duplication before its edges (i, j), (j, l), (l, i)."""
+    Of the non-positive elements the first is reported.  Of the
+    duplicate-triangle and over-shared-edge faults, the one reported is the
+    first met when the elements are taken in index order, each checked for
+    duplication before its edges (i, j), (j, l), (l, i)."""
     t = mesh.triangles
     if t.size and (int(t.min()) < 0 or int(t.max()) >= mesh.n_vertices):
         raise NonConforming("triangle references a missing vertex")
-    areas = signed_area(mesh.element_coords())
-    if len(areas):
-        k = int(np.argmin(areas))
-        if areas[k] <= 0.0:
-            raise DegenerateTriangle(
-                f"element {k} has non-positive area {areas[k]:.3e}"
-            )
+    mesh.geometry  # raises on the first non-positive element
 
     nt = len(t)
     order, rank = _groups(np.sort(t, axis=1))
@@ -147,23 +152,20 @@ def validate(mesh: Mesh) -> None:
 
 def stats(mesh: Mesh) -> MeshStats:
     """Per-element ``shape_quantities`` folded with order-independent
-    max/min.  Raises DegenerateTriangle on the first element with a
-    non-positive area or one that the geometry's degeneracy test rejects
-    (area below the floor, or outside the float64 range)."""
-    p = mesh.element_coords()
-    s = signed_area(p)
+    max/min.  Raises DegenerateTriangle on the first element of
+    non-positive area, then on the first that the geometry's degeneracy
+    test rejects (area below the floor, or outside the float64 range)."""
+    s = mesh.geometry[0]
     with np.errstate(over="ignore"):  # an overflow is rejected below
-        edges = edge_lengths_and_area(p)
-    bad = (s <= 0.0) | _degenerate(*edges)
+        a, b, c, _ = edge_lengths_and_area(mesh.coords)
+    bad = _degenerate(a, b, c, s)
     if np.any(bad):
         k = int(np.argmax(bad))
-        if s[k] <= 0.0:
-            raise DegenerateTriangle(f"element {k} has non-positive area {s[k]:.3e}")
         raise DegenerateTriangle(
             f"element {k} has area {s[k]:.3e} below floor {AREA_FLOOR:g}*h^2 "
             "or with its square outside the normal float64 range"
         )
-    h, rho, rk, _, angles = shape_quantities(*edges)
+    h, rho, rk, _, angles = shape_quantities(a, b, c, s)
     angs = np.stack(angles)
     return MeshStats(
         n_vertices=mesh.n_vertices,
@@ -277,46 +279,31 @@ def gen_lens(n: int) -> Mesh:
     half = int(math.ceil(n ** 1.5))
     vmax = 2.0 ** (2.0 / 3.0)
     levels = np.linspace(-vmax, vmax, 2 * half + 1)
-
-    verts: list[tuple[float, float]] = []
-    rows: list[list[int]] = []
-    for v in levels:
-        if abs(abs(v) - vmax) < 1e-15:
-            rows.append([len(verts)])
-            verts.append((0.0, v))
-            continue
-        umax = (2.0 - abs(v) ** 1.5) ** (2.0 / 3.0)
-        row = []
-        for i in range(n + 1):
-            row.append(len(verts))
-            verts.append((umax * (2.0 * i / n - 1.0), v))
-        rows.append(row)
-
-    tris: list[tuple[int, int, int]] = []
-    for r0, r1 in zip(rows, rows[1:]):
-        if len(r0) == 1:  # bottom pole fan
-            for a, b in zip(r1, r1[1:]):
-                tris.append((r0[0], b, a))
-        elif len(r1) == 1:  # top pole fan
-            for a, b in zip(r0, r0[1:]):
-                tris.append((r1[0], a, b))
-        else:
-            for (a, b), (c, d) in zip(zip(r0, r0[1:]), zip(r1, r1[1:])):
-                tris.append((a, b, d))
-                tris.append((a, d, c))
-
-    uv = np.array(verts)
+    mid = levels[1:-1]  # between the poles, n + 1 vertices each
+    # in Python floats: numpy's array power differs from libm's pow by an
+    # ulp on about 7% of the levels, which would change the written files
+    umax = np.array([(2.0 - abs(v) ** 1.5) ** (2.0 / 3.0) for v in mid.tolist()])
+    u = umax[:, None] * (2.0 * np.arange(n + 1) / n - 1.0)
+    uv = np.vstack([[0.0, levels[0]],
+                    np.column_stack([u.ravel(), np.repeat(mid, n + 1)]),
+                    [0.0, levels[-1]]])
+    top = len(uv) - 1
+    # strip vertices are 1 + row * (n + 1) + i; the poles are 0 and top.
+    # Every element is counterclockwise in (u, v), and the rotation to
+    # (x, y) keeps the orientation.
+    v00, v10, v01, v11 = (k + 1 for k in _cells(n, len(mid) - 1))
+    i = np.arange(n)
+    tris = np.vstack([
+        np.column_stack([np.zeros(n, dtype=np.int64), i + 2, i + 1]),  # bottom fan
+        np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3),  # strips
+        np.column_stack([np.full(n, top), top - n - 1 + i, top - n + i]),  # top fan
+    ])
     xy = np.column_stack([0.5 * (uv[:, 0] + uv[:, 1]), 0.5 * (uv[:, 1] - uv[:, 0])])
     bnd = np.zeros(len(xy), dtype=bool)
-    for row in rows:
-        bnd[row[0]] = True
-        bnd[row[-1]] = True
-    # orientation in (x, y): the rotation u,v -> x,y preserves it, but build
-    # order was chosen in (u, v); fix any clockwise elements uniformly
-    tris_arr = np.array(tris, dtype=np.int64)
-    flip = signed_area(xy[tris_arr]) < 0.0
-    tris_arr[flip] = tris_arr[flip][:, [0, 2, 1]]
-    v, b, t = _canonical_order(xy, bnd, tris_arr)
+    bnd[[0, top]] = True
+    bnd[1:top:n + 1] = True
+    bnd[n + 1:top:n + 1] = True
+    v, b, t = _canonical_order(xy, bnd, tris)
     return Mesh(v, b, t)
 
 

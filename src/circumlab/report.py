@@ -1,9 +1,10 @@
 """Deterministic CSV/JSON report emitters and a dependency-free SVG plot.
 
-Floats are written with 17 significant digits so identical runs produce
-byte-identical files.  The JSON envelope is versioned with
-"schema": "circumlab/1" and echoes the run configuration.  The SVG
-emitter draws log-log polylines on a fixed 800x600 canvas.
+CSV cells are formatted by ``fmt``, floats with 17 significant digits;
+JSON floats are Python's shortest repr that round-trips.  Both are exact,
+so identical runs produce byte-identical files.  The JSON envelope is
+versioned with "schema": "circumlab/1" and echoes the run configuration.
+The SVG emitter draws log-log polylines on a fixed 800x600 canvas.
 """
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ def fmt(value) -> str:
 
 
 def _canon(value):
-    """JSON-safe copy with floats round-tripped through the 17g format."""
+    """JSON-safe copy: infinities and NaN as strings, numpy scalars as
+    Python scalars."""
     if isinstance(value, dict):
         return {k: _canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -40,7 +42,6 @@ def _canon(value):
             return "inf" if value > 0 else "-inf"
         if math.isnan(value):
             return "nan"
-        return float(f"{value:.17g}")
     if hasattr(value, "item"):  # numpy scalar
         return _canon(value.item())
     return value

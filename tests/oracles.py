@@ -2,11 +2,10 @@
 
 Everything here is deliberately slow and simple: exact rational monomial
 integrals over an arbitrary triangle via affine pullback and the factorial
-formula, two eigensolve routes for the quotient estimates built on a raw
-monomial basis (in float, and exactly reduced with a 50-digit
-eigensolve), and the element-by-element loop that mesh validation was
-first written as.  These never share code with the library paths they
-check.
+formula, the quotient estimates on a raw monomial basis, exactly reduced
+and solved at 50 digits, and the element-by-element loop that mesh
+validation was first written as.  These never share code with the library
+paths they check.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-import scipy.linalg
 import sympy
 
 from circumlab.errors import DegenerateTriangle, NonConforming
@@ -103,61 +101,23 @@ def exact_monomial_grams(vertices, degree: int):
     return pairs, g0, g1, g2
 
 
-def monomial_grams(vertices, degree: int):
-    """``exact_monomial_grams`` rounded to float."""
-    pairs, *grams = exact_monomial_grams(vertices, degree)
-    return (pairs, *(np.array(g, dtype=float) for g in grams))
-
-
-def quotient_by_monomials(vertices, degree: int, kind: str,
-                          edge_index: int = 1) -> float:
-    """Constrained Rayleigh minimum via the raw monomial route.
-
-    kind: "A" (gradient/value with a mean-zero leg; vertices must be
-    (corner, corner+(a,0), corner+(0,b))), "B" (hessian/gradient) or
-    "D" (hessian/value) with vertex-vanishing constraints.
-    """
-    pairs, g0, g1, g2 = monomial_grams(vertices, degree)
-    m = len(pairs)
-    v = np.asarray(vertices, dtype=float)
-    if kind == "A":
-        c = np.zeros((1, m))
-        (cx, cy) = v[0]
-        if edge_index == 1:
-            length = v[1][0] - cx
-            for b, (i, j) in enumerate(pairs):
-                # mean over the horizontal leg y = cy, x in [cx, cx+length]
-                c[0, b] = ((cx + length) ** (i + 1) - cx ** (i + 1)) / (i + 1) * cy ** j
-        else:
-            length = v[2][1] - cy
-            for b, (i, j) in enumerate(pairs):
-                c[0, b] = (
-                    cx ** i * ((cy + length) ** (j + 1) - cy ** (j + 1)) / (j + 1)
-                )
-        num, den = g1, g0
-    else:
-        c = np.zeros((3, m))
-        for r in range(3):
-            for b, (i, j) in enumerate(pairs):
-                c[r, b] = v[r, 0] ** i * v[r, 1] ** j
-        num = g2
-        den = g1 if kind == "B" else g0
-    z = scipy.linalg.null_space(c)
-    lam = scipy.linalg.eigh(z.T @ num @ z, z.T @ den @ z, eigvals_only=True,
-                            subset_by_index=[0, 0])[0]
-    return math.sqrt(max(lam, 0.0))
-
-
-def quotient_50_digits(vertices, degree: int, kind: str) -> mpmath.mpf:
-    """B ("B", Hessian/gradient) or D ("D", Hessian/value) over the
-    polynomials of degree <= ``degree`` vanishing at the vertices, to 50
+def quotient_50_digits(vertices, degree: int, kind: str,
+                       edge_index: int = 1) -> mpmath.mpf:
+    """A ("A", gradient/value), B ("B", Hessian/gradient) or D ("D",
+    Hessian/value) over the polynomials of degree <= ``degree``, to 50
     digits.
 
-    The Gram matrices and the vertex constraints are exact rationals; the
-    constraints are eliminated with a rational ``sympy`` null space, so
-    the reduced pencil is exact too.  Only its eigensolve is approximate:
-    an ``mpmath`` Cholesky of the denominator and ``eigsy`` of the
-    transformed numerator, at 50 significant digits.
+    B and D take the polynomials vanishing at the vertices.  A takes those
+    with mean zero along one leg of a right triangle given as (corner,
+    corner + (a, 0), corner + (0, b)): the horizontal leg for
+    ``edge_index`` 1, the vertical one for 2.
+
+    The Gram matrices and the constraints (vertex values, or exact leg
+    integrals of the monomials) are exact rationals; the constraints are
+    eliminated with a rational ``sympy`` null space, so the reduced pencil
+    is exact too.  Only its eigensolve is approximate: an ``mpmath``
+    Cholesky of the denominator and ``eigsy`` of the transformed
+    numerator, at 50 significant digits.
     """
     pairs, g0, g1, g2 = exact_monomial_grams(vertices, degree)
     pts = [(Fraction(float(p[0])), Fraction(float(p[1]))) for p in vertices]
@@ -166,10 +126,19 @@ def quotient_50_digits(vertices, degree: int, kind: str) -> mpmath.mpf:
         return sympy.Matrix([[sympy.Rational(f.numerator, f.denominator) for f in row]
                              for row in matrix])
 
-    rows = rational([[x ** i * y ** j for i, j in pairs] for x, y in pts])
-    z = sympy.Matrix.hstack(*rows.nullspace())
-    num = z.T * rational(g2) * z
-    den = z.T * rational(g1 if kind == "B" else g0) * z
+    if kind == "A":
+        (cx, cy), (x1, _), (_, y2) = pts
+        if edge_index == 1:  # y = cy, cx <= x <= x1
+            rows = [[(x1 ** (i + 1) - cx ** (i + 1)) / (i + 1) * cy ** j for i, j in pairs]]
+        else:  # x = cx, cy <= y <= y2
+            rows = [[cx ** i * (y2 ** (j + 1) - cy ** (j + 1)) / (j + 1) for i, j in pairs]]
+        num, den = g1, g0
+    else:
+        rows = [[x ** i * y ** j for i, j in pairs] for x, y in pts]
+        num, den = g2, (g1 if kind == "B" else g0)
+    z = sympy.Matrix.hstack(*rational(rows).nullspace())
+    num = z.T * rational(num) * z
+    den = z.T * rational(den) * z
     with mpmath.workdps(50):
         def mp(matrix):
             return mpmath.matrix([[mpmath.mpf(q.p) / q.q for q in matrix.row(r)]
@@ -265,10 +234,9 @@ def validate_loop(mesh) -> None:
     p = mesh.vertices[mesh.triangles]
     areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                    - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    if len(areas):
-        k = int(np.argmin(areas))
-        if areas[k] <= 0.0:
-            raise DegenerateTriangle(f"element {k} has non-positive area {areas[k]:.3e}")
+    for k, area in enumerate(areas):
+        if area <= 0.0:
+            raise DegenerateTriangle(f"element {k} has non-positive area {area:.3e}")
     seen: dict[tuple[int, int, int], int] = {}
     edge_use: dict[tuple[int, int], int] = {}
     for k, (i, j, l) in enumerate(mesh.triangles):

@@ -221,6 +221,27 @@ def test_flag_of_another_subcommand_rejected(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["triangle", "0,0", "1,0", "0,1"],
+    ["interp", "0,0", "1,0", "0,1"],
+    ["constants", "--kind", "D", "--degree", "6", "0,0", "1,0", "0,1"],
+    ["constants", "--babuska-aziz"],
+    ["mesh", "--family", "uniform", "--n", "2"],
+    ["mesh", "--check", "{mesh_file}"],
+], ids=["triangle", "interp", "constants-kind", "constants-babuska-aziz",
+        "mesh-generate", "mesh-check"])
+def test_csv_of_report_without_table_exit_2(argv, tmp_path, capsys):
+    mesh_file = tmp_path / "m.txt"
+    mesh_file.write_text(write_mesh(gen_uniform(2)))
+    out = tmp_path / "out"
+    argv = [a.format(mesh_file=mesh_file) for a in argv]
+    code = cli.main(argv + ["--format", "csv", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("usage error:") and "no CSV table" in captured.err
+
+
 def test_mesh_file_from_library_round_trips_through_cli(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text(write_mesh(gen_uniform(2)))

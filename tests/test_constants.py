@@ -21,7 +21,7 @@ from circumlab.errors import (
     UnsupportedDegree,
 )
 from circumlab.geometry import Triangle, metrics, reference_triangle
-from oracles import quotient_50_digits, quotient_by_monomials
+from oracles import quotient_50_digits
 
 REF = reference_triangle()
 GENERIC = Triangle((0.1, -0.2), (1.2, 0.1), (0.3, 0.9))
@@ -92,11 +92,13 @@ class TestRayleighA:
     @pytest.mark.parametrize("tri, edge", [
         (REF, 1),
         (Triangle((0.2, -0.1), (1.5, -0.1), (0.2, 0.6)), 2),
-    ], ids=["reference", "A2-edge"])
+        (Triangle((2, 3), (3.5, 3), (2, 4)), 1),
+        (Triangle((2, 3), (3.5, 3), (2, 4)), 2),
+    ], ids=["reference", "A2-edge", "translated-edge1", "translated-edge2"])
     def test_matches_monomial_oracle(self, tri, edge):
         got = rayleigh_A(tri, edge, 6).value
-        want = quotient_by_monomials(tri.vertices, 6, "A", edge)
-        assert got == pytest.approx(want, rel=1e-9)
+        want = quotient_50_digits(tri.vertices, 6, "A", edge)
+        assert abs(got - want) <= 1e-11 * want
 
 
 class TestRayleighB:
@@ -123,8 +125,8 @@ class TestRayleighB:
     def test_matches_monomial_oracle(self):
         tri = GENERIC
         got = rayleigh_B(tri, 5).value
-        want = quotient_by_monomials(tri.vertices, 5, "B")
-        assert got == pytest.approx(want, rel=1e-8)
+        want = quotient_50_digits(tri.vertices, 5, "B")
+        assert abs(got - want) <= 1e-11 * want
 
 
 class TestRayleighD:
@@ -147,12 +149,6 @@ class TestRayleighD:
         small = rayleigh_D(REF, 8).value
         big = rayleigh_D(Triangle((0, 0), (lam, 0), (0, lam)), 8).value
         assert big == pytest.approx(small / lam ** 2, rel=1e-8)
-
-    @pytest.mark.parametrize("tri", [REF, GENERIC], ids=["reference", "generic"])
-    def test_matches_monomial_oracle(self, tri):
-        got = rayleigh_D(tri, 6).value
-        want = quotient_by_monomials(tri.vertices, 6, "D")
-        assert got == pytest.approx(want, rel=1e-9)
 
     def test_rotation_translation_invariance(self):
         # at p = 2 both seminorms in the quotient are rotation-invariant,

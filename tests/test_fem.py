@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from circumlab import geometry
 from circumlab.errors import InconsistentSpec, NoConvergence
 from circumlab.fem import (
     MeshErrorContext,
@@ -74,8 +76,8 @@ class TestSolver:
         assert x == pytest.approx(rhs, rel=1e-12)
 
     def test_residual_history_on_failure(self):
-        # one factor-preconditioned step reaches rounding level, so only a
-        # zero tolerance exhausts the iterations
+        # one refinement step reaches rounding level, so only a zero
+        # tolerance exhausts the steps
         mesh = gen_uniform(8)
         sys = assemble(mesh, scaled(SINSIN, 2 * math.pi ** 2))
         with pytest.raises(NoConvergence) as exc:
@@ -97,6 +99,17 @@ class TestSolver:
         x, rep = solve_cg(sys)
         assert rep.iterations <= 2
         assert len(rep.history) == rep.iterations + 1
+        ref = scipy.sparse.linalg.spsolve(sys.matrix.tocsc(), sys.rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_bubble_one_refinement_step_is_the_direct_solve(self, n):
+        sys = assemble(gen_crisscross_aniso(n, 1.5), neg_laplacian(BUBBLE))
+        x, rep = solve_cg(sys)
+        assert rep.iterations == 1
+        # the report's residual is the true residual of x
+        true_res = np.linalg.norm(sys.rhs - sys.matrix @ x) / np.linalg.norm(sys.rhs)
+        assert rep.history == [1.0, true_res] and rep.relative_residual == true_res
         ref = scipy.sparse.linalg.spsolve(sys.matrix.tocsc(), sys.rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -197,6 +210,22 @@ class TestCeaStudy:
                      ("grad", at_rule), ("value", at_rule), ("hess", at_rule)]
         assert Counter(calls) == Counter(want)
 
+    def test_element_geometry_once_per_row(self, monkeypatch):
+        calls = []
+        orig = geometry.element_geometry
+
+        def counting(p):
+            calls.append(len(p))
+            return orig(p)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "circumlab" or name.startswith("circumlab."):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, counting)
+        ns = [2, 4]
+        cea_study(lambda n: gen_crisscross_aniso(n, 1.5), ns, BUBBLE)
+        assert calls == [gen_crisscross_aniso(n, 1.5).n_triangles for n in ns]
 
     def test_uniform_halving_and_quotient_bound(self):
         rep = cea_study(gen_uniform, [8, 16, 32], SINSIN)

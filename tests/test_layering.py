@@ -40,7 +40,7 @@ def test_interp_does_not_import_fem():
 
 
 def test_import_scan_sees_relative_imports():
-    # fem imports quadrature and geometry (from .x import ...) and cli
+    # interp imports quadrature and geometry (from .x import ...) and cli
     # imports modules by name (from . import x)
-    assert {"geometry", "quadrature", "mesh"} <= package_imports("fem")
+    assert {"geometry", "quadrature"} <= package_imports("interp")
     assert {"fem", "interp", "constants"} <= package_imports("cli")

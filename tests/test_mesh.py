@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -22,6 +23,27 @@ from circumlab.mesh import (
     write_mesh,
 )
 from oracles import validate_loop
+
+
+class TestMeshObject:
+    def test_arrays_and_geometry_read_only(self):
+        m = gen_uniform(2)
+        for a in (m.vertices, m.boundary, m.triangles, m.coords, *m.geometry):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.vertices = m.vertices * 2
+
+    def test_inputs_left_writable(self):
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        t = np.array([[0, 1, 2]])
+        Mesh(v, np.ones(3, dtype=bool), t)
+        assert v.flags.writeable and t.flags.writeable
+
+    def test_geometry_cached(self):
+        m = gen_crisscross_aniso(3, 1.5)
+        assert m.coords is m.coords and m.geometry is m.geometry
+        assert np.array_equal(m.coords, m.vertices[m.triangles])
 
 
 class TestUniform:
@@ -268,8 +290,9 @@ def _outcome(check, mesh):
 
 def _corrupt(mesh, faults):
     """Apply faults (kind, a, b) to copies of the mesh arrays: a duplicated
-    triangle, a third triangle on an edge, a flipped boundary flag or an
-    out-of-range vertex index (past the end or negative); a and b pick
+    triangle, a third triangle on an edge, a flipped boundary flag, a
+    clockwise element or an out-of-range vertex index (past the end or
+    negative); a and b pick
     the element, position or vertex.  Out-of-range indices go in last, so
     that the others can still look up coordinates."""
     v, b, t = mesh.vertices.copy(), mesh.boundary.copy(), mesh.triangles.copy()
@@ -286,6 +309,8 @@ def _corrupt(mesh, faults):
             t = np.insert(t, j % (len(t) + 1), [a, c, len(v) - 1], axis=0)
         elif kind == "flip":
             b[j % len(b)] = ~b[j % len(b)]
+        elif kind == "clockwise":
+            t[k] = t[k][[0, 2, 1]]
         else:
             t[k, j % 3] = (len(v), len(v) + 1, -1, -2)[j // 3 % 4]
     return Mesh(v, b, t)
@@ -297,7 +322,7 @@ _BASES = st.one_of(
     st.integers(2, 4).map(gen_lens),
 )
 _FAULTS = st.lists(st.tuples(
-    st.sampled_from(["duplicate", "third", "flip", "out_of_range"]),
+    st.sampled_from(["duplicate", "third", "flip", "clockwise", "out_of_range"]),
     st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=3)
 
 
@@ -319,6 +344,19 @@ class TestValidate:
         t[t == 3] = index
         with pytest.raises(NonConforming, match="triangle references a missing vertex"):
             validate(Mesh(m.vertices, m.boundary, t))
+
+    def test_first_non_positive_element_reported(self):
+        # element i comes first, element j is the larger one, so it turns
+        # into the more negative one
+        m = gen_lens(4)
+        area = m.geometry[0]
+        j = int(np.argmax(area))
+        i = int(np.argmin(area[:j]))
+        t = m.triangles.copy()
+        t[[i, j]] = t[[i, j]][:, [0, 2, 1]]
+        for check in (validate, stats):
+            with pytest.raises(DegenerateTriangle, match=f"element {i} has non-positive"):
+                check(Mesh(m.vertices, m.boundary, t))
 
     def test_first_offending_element_reported(self):
         m = gen_uniform(2)
@@ -389,6 +427,10 @@ class TestParseErrorLines:
      "b59e6403f57edb7c5a284b71fbb876129b25bffea523288d2721d90f3ddf96c4"),
     (lambda: gen_uniform(5),
      "10002f9cf5efdfc338b5ab999d5117949d8c7ea58758447b17917c6f9630c85b"),
+    (lambda: gen_lens(4),
+     "746915480b93aee936f717b8dc29fe4b8f1063e56324a842585252f51a51540e"),
+    (lambda: gen_lens(8),
+     "fbb5b66f08d9669d4814ad865dd1c329d55f2f7de8111136a1a726f351cbd182"),
 ])
 def test_written_files_pinned(make, digest):
     """SHA-256 of write_mesh output, taken from the element-loop generators
