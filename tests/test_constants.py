@@ -150,6 +150,12 @@ class TestRayleighD:
         big = rayleigh_D(Triangle((0, 0), (lam, 0), (0, lam)), 8).value
         assert big == pytest.approx(small / lam ** 2, rel=1e-8)
 
+    @pytest.mark.parametrize("tri", [REF, GENERIC], ids=["reference", "generic"])
+    def test_matches_monomial_oracle(self, tri):
+        got = rayleigh_D(tri, 6).value
+        want = quotient_50_digits(tri.vertices, 6, "D")
+        assert abs(got - want) <= 1e-11 * want
+
     def test_rotation_translation_invariance(self):
         # at p = 2 both seminorms in the quotient are rotation-invariant,
         # so the estimate must not depend on the triangle's pose
