@@ -50,7 +50,7 @@ def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
 def load_vector(mesh: Mesh, f: ScalarField) -> np.ndarray:
     """int f * hat_i by per-element quadrature of degree 4."""
     rule = make_rule(LOAD_QUAD_DEGREE)
-    xq, yq, w = physical_points(rule, mesh.coords)  # (nq, nt)
+    xq, yq, w = physical_points(rule, mesh.coords, mesh.geometry[0])  # (nq, nt)
     fv = np.asarray(f.value(xq, yq), dtype=float)
     contrib = ((w * fv)[:, :, None] * rule.points[:, None, :]).sum(axis=0)
     b = np.zeros(mesh.n_vertices)
@@ -155,12 +155,8 @@ class MeshErrorContext(FieldAtRule):
     coordinates and geometry are the mesh's own."""
 
     def __init__(self, mesh: Mesh, field: ScalarField):
-        super().__init__(mesh.coords, field, make_rule(ERROR_QUAD_DEGREE))
+        super().__init__(mesh.coords, field, make_rule(ERROR_QUAD_DEGREE), mesh.geometry)
         self.mesh = mesh
-
-    @property
-    def geometry(self):
-        return self.mesh.geometry
 
     @cached_property
     def nodal(self) -> np.ndarray:

@@ -5,6 +5,13 @@ numpy arrays (or scalars) for x and y.  The registry serves fixed names
 ("sinsin", "expxy", monomials through degree 4) and two parameterized
 families: "affine(cx,cy,c0)" and "poly:c00,c10,c01,c20,..." with
 coefficients in graded order (degree by degree, x-power decreasing).
+
+Polynomials, ``sinsin`` and ``expxy`` also carry a jet, one evaluator for
+value, gradient and Hessian at once that shares their work (the table of
+y-powers and the matrix product of a polynomial, each sin, cos or exp of
+the others) and returns the same bits as the three evaluators.  Every
+polynomial evaluation is one kernel, ``_polyval``, on a stack of power
+matrices.  This module imports nothing of the package but ``errors``.
 """
 from __future__ import annotations
 
@@ -30,6 +37,12 @@ class ScalarField:
     mixed component).  ``degree`` is the total polynomial degree when the
     field is a polynomial, else None.  Derived fields (e.g. a PDE right-hand
     side) may omit grad/hess.
+
+    ``jet``, when set, returns (value, (u_x, u_y), (u_xx, u_xy, u_yy)) from
+    one call, bit for bit what the three evaluators return.  It serves only
+    the evaluators it was built with: the field records them, and a copy
+    made by ``dataclasses.replace`` with another value, grad or hess (a
+    weakened Hessian, a counting or timing wrapper) has no jet.
     """
 
     name: str
@@ -37,6 +50,17 @@ class ScalarField:
     grad: Callable | None = None
     hess: Callable | None = None
     degree: int | None = field(default=None)
+    jet: Callable | None = None
+    # the (value, grad, hess) that ``jet`` was built with
+    _jet_of: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        evaluators = (self.value, self.grad, self.hess)
+        if self.jet is None or self._jet_of not in (None, evaluators):
+            object.__setattr__(self, "jet", None)
+            object.__setattr__(self, "_jet_of", None)
+        else:
+            object.__setattr__(self, "_jet_of", evaluators)
 
 
 def _coeff_matrix(coeffs: list[float]) -> np.ndarray:
@@ -61,39 +85,56 @@ def _coeff_matrix(coeffs: list[float]) -> np.ndarray:
 # points per block of the polynomial evaluator, so that a block's table of
 # y-powers stays in cache
 _BLOCK = 8192
+# the evaluator's matrix products take a multiple of this many columns
+_COLUMNS = 16
 
 
-def _polyval(c: np.ndarray, x, y):
-    """sum c[i, j] x^i y^j on x and y of any (broadcast) shape.
+def _polyval(c: np.ndarray, x, y) -> tuple:
+    """sum c[r, i, j] x^i y^j for each matrix r of a (k, n, n) stack, on x
+    and y of any (broadcast) shape: a tuple of k arrays (numpy scalars for
+    scalar input).
 
-    Per block of points, a table of the powers of y contracted with c gives
-    the coefficient of each power of x, and Horner's rule in x sums them.
-    A scalar input gives a numpy scalar.
+    Per block of points, one table of the powers of y contracted with the
+    whole stack by one matrix product gives the coefficient of each power
+    of x in every row, and one Horner pass in x sums them for all rows.
+    The table is padded with zero columns to a multiple of ``_COLUMNS``.
+    OpenBLAS rounds a single column, and the leftover columns of a large
+    product, in an order that depends on the number of rows; unpadded, a
+    point could get other bits from the zero-padded stack of a jet than
+    from the unpadded views of the evaluators, and alone than in a batch.
     """
-    nx, ny = c.shape
+    k, nx, ny = c.shape
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)
     xf, yf = x.ravel(), y.ravel()
-    out = np.empty(xf.size)
+    rows = c.reshape(k * nx, ny)
+    out = np.empty((k, xf.size))
     for s in range(0, xf.size, _BLOCK):
         xs, ys = xf[s:s + _BLOCK], yf[s:s + _BLOCK]
-        yp = np.empty((ny, xs.size))
+        m = xs.size
+        yp = np.zeros((ny, -(-m // _COLUMNS) * _COLUMNS))
         yp[0] = 1.0
+        powers = yp[:, :m]
         for j in range(1, ny):
-            np.multiply(yp[j - 1], ys, out=yp[j])
-        q = c @ yp  # q[i]: the coefficient of x^i
-        acc = out[s:s + _BLOCK]
-        acc[:] = q[nx - 1]
+            np.multiply(powers[j - 1], ys, out=powers[j])
+        q = (rows @ yp)[:, :m].reshape(k, nx, m)  # q[r, i]: coefficient of x^i
+        acc = out[:, s:s + _BLOCK]
+        acc[:] = q[:, nx - 1]
         for i in range(nx - 2, -1, -1):
             acc *= xs
-            acc += q[i]
-    return out.reshape(x.shape)[()]
+            acc += q[:, i]
+    return tuple(o.reshape(x.shape)[()] for o in out)
 
 
-def _polyvals(cs, x, y) -> tuple:
-    return tuple(_polyval(c, x, y) for c in cs)
+def _polyval_one(c: np.ndarray, x, y):
+    return _polyval(c, x, y)[0]
+
+
+def _polyjet(c: np.ndarray, x, y) -> tuple:
+    v, gx, gy, hxx, hxy, hyy = _polyval(c, x, y)
+    return v, (gx, gy), (hxx, hxy, hyy)
 
 
 def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
@@ -109,17 +150,32 @@ def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
 
 
 def polynomial_field(coeffs, name: str | None = None) -> ScalarField:
-    """Polynomial sum c_ij x^i y^j from graded coefficients c00,c10,c01,..."""
+    """Polynomial sum c_ij x^i y^j from graded coefficients c00,c10,c01,...
+
+    The power matrices of the value, u_x, u_y, u_xx, u_xy and u_yy are one
+    (6, n, n) stack, each zero-padded to the value's n x n; ``value``,
+    ``grad`` and ``hess`` evaluate unpadded views of it and ``jet`` all of
+    it.  Raises UnknownField for a non-finite coefficient.
+    """
     coeffs = [float(v) for v in coeffs]
+    bad = [v for v in coeffs if not math.isfinite(v)]
+    if bad:
+        raise UnknownField(f"polynomial coefficient {bad[0]!r} is not finite")
     c = _coeff_matrix(coeffs)
     cx, cy = _derivative(c, 0), _derivative(c, 1)
-    hess = (_derivative(cx, 0), _derivative(cx, 1), _derivative(cy, 1))
+    parts = (c, cx, cy, _derivative(cx, 0), _derivative(cx, 1), _derivative(cy, 1))
+    n = len(c)
+    stack = np.zeros((6, n, n))
+    for layer, part in zip(stack, parts):
+        layer[:len(part), :len(part)] = part
+    stack.flags.writeable = False
+    g, h = len(cx), len(parts[3])
     if name is None:
         name = "poly:" + ",".join(repr(v) for v in coeffs)
-    return ScalarField(name=name, value=functools.partial(_polyval, c),
-                       grad=functools.partial(_polyvals, (cx, cy)),
-                       hess=functools.partial(_polyvals, hess),
-                       degree=c.shape[0] - 1)
+    return ScalarField(name=name, value=functools.partial(_polyval_one, stack[:1]),
+                       grad=functools.partial(_polyval, stack[1:3, :g, :g]),
+                       hess=functools.partial(_polyval, stack[3:, :h, :h]),
+                       degree=n - 1, jet=functools.partial(_polyjet, stack))
 
 
 def affine_field(cx: float, cy: float, c0: float) -> ScalarField:
@@ -159,7 +215,15 @@ def _sinsin() -> ScalarField:
         cc = np.cos(_PI * x) * np.cos(_PI * y)
         return (-_PI ** 2 * ss, _PI ** 2 * cc, -_PI ** 2 * ss)
 
-    return ScalarField(name="sinsin", value=value, grad=grad, hess=hess)
+    def jet(x, y):
+        px = _PI * np.asarray(x)
+        py = _PI * np.asarray(y)
+        sx, sy, cx, cy = np.sin(px), np.sin(py), np.cos(px), np.cos(py)
+        ss = sx * sy
+        hxx = -_PI ** 2 * ss
+        return ss, (_PI * cx * sy, _PI * sx * cy), (hxx, _PI ** 2 * (cx * cy), hxx)
+
+    return ScalarField(name="sinsin", value=value, grad=grad, hess=hess, jet=jet)
 
 
 def _expxy() -> ScalarField:
@@ -174,7 +238,11 @@ def _expxy() -> ScalarField:
         v = value(x, y)
         return v, v, v
 
-    return ScalarField(name="expxy", value=value, grad=grad, hess=hess)
+    def jet(x, y):
+        v = value(x, y)
+        return v, (v, v), (v, v, v)
+
+    return ScalarField(name="expxy", value=value, grad=grad, hess=hess, jet=jet)
 
 
 _FIXED: dict[str, ScalarField] = {}

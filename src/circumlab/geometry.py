@@ -76,21 +76,25 @@ def signed_area(pts):
     return 0.5 * (d[..., 0, 0] * d[..., 1, 1] - d[..., 1, 0] * d[..., 0, 1])
 
 
+# the next and the previous local vertex of each local vertex
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def element_geometry(p):
     """Signed areas (...) and P1 shape gradients gx, gy (..., 3) of the
     triangles of a (..., 3, 2) vertex array; entry i of the last axis of
     gx, gy is the gradient of the hat function of local vertex i."""
     x, y = p[..., 0], p[..., 1]
-    e1, e2 = [1, 2, 0], [2, 0, 1]
     areas = signed_area(p)
     flat = np.ravel(areas)
-    if np.any(flat <= 0.0):
-        k = int(np.argmax(flat <= 0.0))
+    bad = flat <= 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
         raise DegenerateTriangle(f"element {k} has non-positive area {flat[k]:.3e}")
     # grad(lambda_i) = rot90(opposite edge) / (2S)
     s2 = (2.0 * areas)[..., None]
-    gx = (y[..., e1] - y[..., e2]) / s2
-    gy = (x[..., e2] - x[..., e1]) / s2
+    gx = (y[..., _NEXT] - y[..., _PREV]) / s2
+    gy = (x[..., _PREV] - x[..., _NEXT]) / s2
     return areas, gx, gy
 
 

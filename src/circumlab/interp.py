@@ -38,17 +38,18 @@ class AffineFunction:
         return (self.c0, self.cx, self.cy)
 
 
-def _interpolant(pts: np.ndarray, v: ScalarField):
-    """v at the vertices ``pts`` (3, 2) and the gradient (cx, cy) of I_h v."""
+def _interpolant(pts: np.ndarray, v: ScalarField, geometry):
+    """v at the vertices ``pts`` (3, 2) and the gradient (cx, cy) of I_h v,
+    from the triangle's ``element_geometry``."""
     nodal = np.asarray(v.value(pts[:, 0], pts[:, 1]), dtype=float)
-    _, gx, gy = element_geometry(pts)
+    _, gx, gy = geometry
     return nodal, float(nodal @ gx), float(nodal @ gy)
 
 
 def p1_interpolate(tri: Triangle, v: ScalarField) -> AffineFunction:
     """Affine function matching v at the three apexes."""
     pts = tri.vertices
-    nodal, cx, cy = _interpolant(pts, v)
+    nodal, cx, cy = _interpolant(pts, v, element_geometry(pts))
     c0 = float(np.mean(nodal - cx * pts[:, 0] - cy * pts[:, 1]))
     return AffineFunction(c0=c0, cx=cx, cy=cy)
 
@@ -108,7 +109,8 @@ def error_report(
 ) -> InterpErrorReport:
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
-    The one-element case of the mesh error functionals.  ``rule`` fixes
+    The one-element case of the mesh error functionals, with one element
+    geometry for the interpolant and every rule.  ``rule`` fixes
     the points at every p.  With it unset, p = inf takes the sup grid,
     polynomial fields get one rule exact for all three seminorms and other
     fields one degree-doubling loop over all three.
@@ -117,10 +119,11 @@ def error_report(
         raise InvalidExponent(f"p = {p} below 1")
     m = metrics(tri)
     pts = tri.vertices
-    nodal, cx, cy = _interpolant(pts, v)
+    geometry = element_geometry(pts)
+    nodal, cx, cy = _interpolant(pts, v, geometry)
 
     def evaluate(r):
-        at_rule = FieldAtRule(pts, v, r)
+        at_rule = FieldAtRule(pts, v, r, geometry)
         e0, e1 = at_rule.error_power(nodal, p)
         return [lp_root(e, p) for e in (e0, e1, at_rule.hessian_power(p))]
 

@@ -9,7 +9,10 @@ embedded point tables.
 
 ``FieldAtRule`` holds a field at one rule's points on a batch of triangles;
 it is the one evaluation kernel behind the seminorms below,
-``interp.error_report`` and the mesh error functionals of ``fem``.
+``interp.error_report`` and the mesh error functionals of ``fem``.  Up to
+``JET_MAX_POINTS`` points it takes value, gradient and Hessian from one call
+of the field's jet once a derivative is asked for, and it reuses element
+geometry it is given.
 
 Seminorms follow the weighted convention
 
@@ -36,6 +39,11 @@ MAX_DEGREE = 30
 START_DEGREE = 8
 REL_TOL = 1e-8
 SUP_GRID = 64
+# the most points at which FieldAtRule takes a field's jet: on one triangle's
+# rule the jet saves most of the evaluators' per-call cost, while on a mesh's
+# millions of points the polynomial evaluators were faster than the jet, and
+# the jet would hold the Hessian before the first derivative is reduced
+JET_MAX_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -86,20 +94,21 @@ def p1_values(rule: QuadratureRule, nodal) -> np.ndarray:
     return (rule.points @ c.reshape(-1, 3).T).reshape(rule.points.shape[:1] + c.shape[:-1])
 
 
-def physical_points(rule: QuadratureRule, pts):
+def physical_points(rule: QuadratureRule, pts, areas=None):
     """Map rule points into a Triangle or each triangle of a (..., 3, 2)
     vertex array; returns (x, y, w), each (nq, ...), with the weights
     scaled by |det J| = 2|S| so that sum(w_i f_i) integrates f over each
-    triangle."""
+    triangle.  ``areas`` are the |S| when the caller has them; else they
+    are computed here."""
     v = pts.vertices if isinstance(pts, Triangle) else np.asarray(pts, dtype=float)
-    area = np.abs(signed_area(v))
+    area = np.abs(signed_area(v)) if areas is None else areas
     w = rule.weights.reshape((-1,) + (1,) * np.ndim(area)) * (2.0 * area)
     return p1_values(rule, v[..., 0]), p1_values(rule, v[..., 1]), w
 
 
 def integrate(f, tri: Triangle, rule: QuadratureRule) -> float:
     """Integral over ``tri`` of f(x, y) (vectorized callable)."""
-    x, y, w = physical_points(rule, tri)
+    x, y, w = physical_points(rule, tri, tri.area)
     return float(w @ np.asarray(f(x, y), dtype=float))
 
 
@@ -123,9 +132,12 @@ def lp_power(w, p: float, fs, weights=(1.0, 1.0, 1.0)) -> np.ndarray:
     |f_k| (no weights) for p = inf."""
     if math.isinf(p):
         return np.max([np.max(np.abs(f), axis=0) for f in fs], axis=0)
-    # f * f is bit-identical to |f| ** 2 and makes one temporary, not two
-    terms = (f * f if p == 2.0 else np.abs(f) ** p for f in fs)
-    return (w * sum(c * t for c, t in zip(weights, terms))).sum(axis=0)
+    total = 0.0
+    for c, f in zip(weights, fs):
+        # f * f is bit-identical to |f| ** 2 and makes one temporary, not two
+        t = f * f if p == 2.0 else np.abs(f) ** p
+        total = total + (t if c == 1.0 else c * t)
+    return (w * total).sum(axis=0)
 
 
 def lp_root(power, p: float) -> float:
@@ -137,23 +149,40 @@ class FieldAtRule:
     """A field on a Triangle or the triangles of a (..., 3, 2) vertex array
     at the points of one rule: element geometry, the physical points and
     the field's value, gradient and Hessian there, each computed at most
-    once, on first use."""
+    once, on first use.
 
-    def __init__(self, pts, field, rule: QuadratureRule):
+    ``geometry``, the triangles' ``element_geometry`` when the caller has
+    it, is used as is, its areas for the weights.  When the field has a
+    jet and there are at most ``JET_MAX_POINTS`` points, the first
+    derivative asked for takes value, gradient and Hessian from one jet
+    call; a value asked for before any derivative comes from the field's
+    ``value``.
+    """
+
+    def __init__(self, pts, field, rule: QuadratureRule, geometry=None):
         self.pts = pts.vertices if isinstance(pts, Triangle) else pts
         self.field = field
         self.rule = rule
+        self._geometry = geometry
 
     @functools.cached_property
     def geometry(self):
-        return element_geometry(self.pts)
+        return element_geometry(self.pts) if self._geometry is None else self._geometry
 
     @functools.cached_property
     def points(self):
-        return physical_points(self.rule, self.pts)
+        areas = None if self._geometry is None else self._geometry[0]
+        return physical_points(self.rule, self.pts, areas)
+
+    @functools.cached_property
+    def jet(self):
+        x, y, _ = self.points
+        return self.field.jet(x, y)
 
     @functools.cached_property
     def value(self) -> np.ndarray:
+        if "jet" in self.__dict__:  # already computed with the derivatives
+            return np.asarray(self.jet[0], dtype=float)
         x, y, _ = self.points
         return np.asarray(self.field.value(x, y), dtype=float)
 
@@ -163,6 +192,8 @@ class FieldAtRule:
             what = {"grad": "gradient evaluators", "hess": "Hessian"}[kind]
             raise InconsistentSpec(f"{getattr(self.field, 'name', self.field)} has no {what}")
         x, y, _ = self.points
+        if getattr(self.field, "jet", None) is not None and np.size(x) <= JET_MAX_POINTS:
+            return self.jet[1 if kind == "grad" else 2]
         return fn(x, y)
 
     @functools.cached_property

@@ -99,6 +99,14 @@ class TestInterpCommand:
         code, _ = run(capsys, "interp", "--field", "nope", "0,0", "1,0", "0,1")
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["poly:nan", "poly:1,2,inf", "affine(nan,0,0)"])
+    def test_non_finite_coefficient_exit_2(self, capsys, field):
+        code = cli.main(["interp", "0,0", "1,0", "0,1", "--field", field])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
     def test_bound_failure_exit_1(self, capsys, monkeypatch):
         real = interp_mod.error_report
 

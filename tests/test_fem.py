@@ -36,6 +36,24 @@ BUBBLE = polynomial_field(
     [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, -1, -2, -2, 0, 0, 0, 1, 2, 0, 0])
 
 
+def record_calls(monkeypatch, fn, record=len) -> list:
+    """Replace ``fn`` under every name that holds it in the circumlab
+    modules by a wrapper that appends ``record`` of its argument to the
+    list returned."""
+    calls = []
+
+    def counting(p):
+        calls.append(record(p))
+        return fn(p)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "circumlab" or name.startswith("circumlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
 class TestAssembly:
     def test_single_reference_triangle_all_boundary(self):
         sys = assemble(single_triangle_mesh(reference_triangle()), get_field("one"))
@@ -211,21 +229,18 @@ class TestCeaStudy:
         assert Counter(calls) == Counter(want)
 
     def test_element_geometry_once_per_row(self, monkeypatch):
-        calls = []
-        orig = geometry.element_geometry
-
-        def counting(p):
-            calls.append(len(p))
-            return orig(p)
-
-        for name, mod in list(sys.modules.items()):
-            if name == "circumlab" or name.startswith("circumlab."):
-                for attr, value in list(vars(mod).items()):
-                    if value is orig:
-                        monkeypatch.setattr(mod, attr, counting)
+        calls = record_calls(monkeypatch, geometry.element_geometry)
         ns = [2, 4]
         cea_study(lambda n: gen_crisscross_aniso(n, 1.5), ns, BUBBLE)
         assert calls == [gen_crisscross_aniso(n, 1.5).n_triangles for n in ns]
+
+    def test_areas_twice_per_row(self, monkeypatch):
+        # once for the mesh's element geometry, once in stats' edge lengths;
+        # the load vector and the error context take the mesh's areas
+        calls = record_calls(monkeypatch, geometry.signed_area)
+        ns = [2, 4]
+        cea_study(lambda n: gen_crisscross_aniso(n, 1.5), ns, BUBBLE)
+        assert calls == [nt for n in ns for nt in [gen_crisscross_aniso(n, 1.5).n_triangles] * 2]
 
     def test_uniform_halving_and_quotient_bound(self):
         rep = cea_study(gen_uniform, [8, 16, 32], SINSIN)

@@ -1,11 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from circumlab.errors import UnknownField
 from circumlab.fields import (
+    ScalarField,
     affine_field,
     get_field,
     list_fields,
@@ -70,6 +75,21 @@ class TestRegistry:
             get_field("nope")
         with pytest.raises(UnknownField):
             get_field("poly:1,2")  # not a triangular count
+
+    @pytest.mark.parametrize("make", [
+        lambda: polynomial_field([float("nan")]),
+        lambda: polynomial_field([1.0, 2.0, float("inf")]),
+        lambda: polynomial_field([0.0, -math.inf, 0.0]),
+        lambda: affine_field(float("nan"), 0.0, 0.0),
+        lambda: get_field("poly:nan"),
+        lambda: get_field("poly:1,2,inf"),
+        lambda: get_field("poly:1e400"),
+        lambda: get_field("affine(nan,0,0)"),
+    ], ids=["nan", "inf", "-inf", "affine-nan", "poly:nan", "poly:1,2,inf",
+            "overflow", "affine(nan,0,0)"])
+    def test_non_finite_coefficients_rejected(self, make):
+        with pytest.raises(UnknownField, match="not finite"):
+            make()
 
     def test_expxy_derivatives_equal_value(self):
         f = get_field("expxy")
@@ -167,3 +187,85 @@ class TestPolynomialEvaluator:
         f = get_field("x2y")
         y = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(f.value(2.0, y), 4.0 * y)
+
+
+def _jet_components(out):
+    v, (gx, gy), (hxx, hxy, hyy) = out
+    return v, gx, gy, hxx, hxy, hyy
+
+
+def _evaluator_components(f, x, y):
+    return (f.value(x, y), *f.grad(x, y), *f.hess(x, y))
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.dtype == w.dtype == np.float64
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@st.composite
+def _polynomials(draw):
+    d = draw(st.integers(0, 6))
+    n = (d + 1) * (d + 2) // 2
+    coeffs = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    return polynomial_field(coeffs)
+
+
+# (x shape, y shape): scalars, 1-D, 2-D and broadcast inputs
+_SHAPES = [((), ()), ((1,), (1,)), ((2,), (2,)), ((9,), (9,)), ((3, 4), (3, 4)),
+           ((4, 1), (1, 5)), ((), (6,)), ((3, 2), ())]
+
+
+@st.composite
+def _points(draw):
+    sx, sy = draw(st.sampled_from(_SHAPES))
+    coords = st.floats(-3, 3)
+    x = draw(hnp.arrays(np.float64, sx, elements=coords))
+    y = draw(hnp.arrays(np.float64, sy, elements=coords))
+    # a 0-d draw stands for a Python float
+    return (float(x) if x.ndim == 0 else x), (float(y) if y.ndim == 0 else y)
+
+
+class TestJet:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.one_of(_polynomials(), st.sampled_from([get_field("sinsin"), get_field("expxy")])),
+           _points())
+    def test_equals_evaluators_bit_for_bit(self, f, pts):
+        x, y = pts
+        _assert_same_bits(_jet_components(f.jet(x, y)), _evaluator_components(f, x, y))
+
+    @pytest.mark.parametrize("size", [8191, 8192, 8193, 16385])
+    def test_across_blocks_and_alone(self, size):
+        # 8193 and 16385 points leave a last block of one point
+        rng = np.random.default_rng(size)
+        f = random_polynomial(rng, 6)
+        x, y = rng.uniform(-2, 2, size=(2, size))
+        jet = _jet_components(f.jet(x, y))
+        _assert_same_bits(jet, _evaluator_components(f, x, y))
+        for k in (0, size - 1):
+            alone = _jet_components(f.jet(x[k], y[k]))
+            _assert_same_bits(alone, [c[k] for c in jet])
+
+    @pytest.mark.parametrize("name", ["x2y", "poly:1,2,3,4,5,6", "sinsin", "expxy"])
+    def test_dropped_when_an_evaluator_is_replaced(self, name):
+        f = get_field(name)
+        assert f.jet is not None
+        for kind in ("value", "grad", "hess"):
+            other = dataclasses.replace(f, **{kind: lambda x, y: getattr(f, kind)(x, y)})
+            assert other.jet is None
+        assert dataclasses.replace(f, hess=f.hess).jet is f.jet
+        assert dataclasses.replace(f, name="renamed").jet is f.jet
+
+    def test_hand_built_field_keeps_its_jet(self):
+        f = get_field("sinsin")
+        g = ScalarField("copy", f.value, f.grad, f.hess, jet=f.jet)
+        assert g.jet is f.jet
+        assert dataclasses.replace(g, hess=lambda x, y: f.hess(x, y)).jet is None
+
+    def test_derived_fields_have_no_jet(self):
+        f = get_field("x2y")
+        assert neg_laplacian(f).jet is None
+        assert scaled(f, 2.0).jet is None

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circumlab import quadrature
+from circumlab import geometry, quadrature
 from circumlab.errors import InvalidExponent, InvalidFamily
 from circumlab.fem import ERROR_QUAD_DEGREE, hessian_seminorm, interpolation_h1_error
-from circumlab.fields import get_field, polynomial_field, random_polynomial
+from circumlab.fields import ScalarField, get_field, polynomial_field, random_polynomial
 from circumlab.geometry import (
     Triangle,
     metrics,
@@ -28,6 +28,7 @@ from circumlab.interp import (
 from circumlab.mesh import single_triangle_mesh
 from circumlab.quadrature import make_rule
 from oracles import interpolation_error_sq
+from test_fem import record_calls
 from test_mesh import _random_triangles
 
 REF = reference_triangle()
@@ -189,6 +190,46 @@ class TestCallCounts:
         assert 2 <= calls["make_rule"] <= 3
         assert calls["grad"] == calls["hess"] == calls["make_rule"]
         assert calls["value"] == calls["make_rule"] + 1
+
+    def counted_with_jet(self, field, monkeypatch):
+        """The field built anew from counting evaluators and a counting jet,
+        so that it keeps a jet."""
+        calls, v = self.counted(field, monkeypatch)
+        jet = field.jet
+
+        def counting_jet(x, y):
+            calls["jet"] += 1
+            return jet(x, y)
+
+        return calls, ScalarField(v.name, v.value, v.grad, v.hess, v.degree, counting_jet)
+
+    def test_polynomial_one_jet_call_per_rule(self, monkeypatch):
+        calls, v = self.counted_with_jet(
+            random_polynomial(np.random.default_rng(3), 4), monkeypatch)
+        error_report(Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8)), v, 2.0)
+        # value once at the vertices; everything at the rule points from the jet
+        assert calls == {"make_rule": 1, "value": 1, "jet": 1}
+
+    def test_adaptive_one_jet_call_per_rule(self, monkeypatch):
+        calls, v = self.counted_with_jet(get_field("sinsin"), monkeypatch)
+        error_report(needle_triangle(2.0 ** -6, 1.5), v, 2.0)
+        assert 2 <= calls["make_rule"] <= 3
+        assert calls == {"make_rule": calls["make_rule"], "value": 1,
+                         "jet": calls["make_rule"]}
+
+    def test_values_only_seminorm_skips_the_jet(self, monkeypatch):
+        calls, v = self.counted_with_jet(get_field("sinsin"), monkeypatch)
+        quadrature.seminorm(v, quadrature.SeminormSpec(0, 2.0), REF)
+        assert calls == {"make_rule": 1, "value": 1}
+
+    @pytest.mark.parametrize("field, tri", [
+        (random_polynomial(np.random.default_rng(5), 4), REF),
+        (get_field("sinsin"), needle_triangle(2.0 ** -6, 1.5)),
+    ], ids=["one-rule", "adaptive"])
+    def test_element_geometry_once(self, monkeypatch, field, tri):
+        calls = record_calls(monkeypatch, geometry.element_geometry, np.shape)
+        error_report(tri, field, 2.0)
+        assert calls == [(3, 2)]
 
 
 class TestAgainstExactOracle:

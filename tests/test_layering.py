@@ -30,6 +30,11 @@ def test_geometry_imports_only_errors():
     assert package_imports("geometry") == {"errors"}
 
 
+def test_fields_imports_only_errors():
+    # the polynomial kernel and the jets stay free of quadrature
+    assert package_imports("fields") == {"errors"}
+
+
 @pytest.mark.parametrize("upper", ["fem", "interp", "mesh"])
 def test_quadrature_below_its_users(upper):
     assert upper not in package_imports("quadrature")

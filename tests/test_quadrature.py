@@ -6,8 +6,11 @@ import pytest
 from circumlab.errors import InconsistentSpec, InvalidExponent, UnsupportedDegree
 from circumlab.fields import ScalarField, get_field, polynomial_field
 from circumlab.geometry import Triangle, reference_triangle
+from circumlab.mesh import gen_uniform
 from circumlab.quadrature import (
+    JET_MAX_POINTS,
     SUP_GRID,
+    FieldAtRule,
     SeminormSpec,
     barycentric_grid,
     integrate,
@@ -192,3 +195,30 @@ class TestRuleCache:
             with pytest.raises(ValueError):
                 a[0] = 1.0
         assert rule.points.shape[0] == rule.weights.shape[0]
+
+
+class TestJetSelection:
+    """``FieldAtRule`` takes one jet call up to ``JET_MAX_POINTS`` points and
+    the field's evaluators above, with the same numbers either way."""
+
+    @pytest.mark.parametrize("field", ["poly:1,2,3,4,5,6,7,8,9,10", "sinsin"])
+    def test_jet_up_to_the_limit(self, field):
+        f = get_field(field)
+        calls = []
+
+        def counting_jet(x, y):
+            calls.append(np.size(x))
+            return f.jet(x, y)
+
+        g = ScalarField(f.name, f.value, f.grad, f.hess, f.degree, counting_jet)
+        rule = make_rule(8)
+        n_max = JET_MAX_POINTS // len(rule.weights)
+        pts = gen_uniform(13).coords  # 338 triangles
+        assert len(pts) > n_max
+        for n in (n_max, n_max + 1):
+            with_jet, without = FieldAtRule(pts[:n], g, rule), FieldAtRule(pts[:n], f, rule)
+            assert with_jet.hessian_power(2.0).tobytes() == without.hessian_power(2.0).tobytes()
+            nodal = np.ones((n, 3))
+            for a, b in zip(with_jet.error_power(nodal, 2.0), without.error_power(nodal, 2.0)):
+                assert a.tobytes() == b.tobytes()
+        assert calls == [n_max * len(rule.weights)]
