@@ -9,6 +9,7 @@ shrinking because max_K R_K does: each row exhibits the whole chain
 
 Writes fem.csv / fem.json / fem.svg next to this script's output dir.
 """
+import dataclasses
 from pathlib import Path
 
 from circumlab import cea_study, gen_crisscross_aniso, gen_uniform, get_field
@@ -35,11 +36,11 @@ for r in rep.rows:
           f"{r.h1_seminorm_error:10.5f} {r.h1_norm_error:10.5f} "
           f"{'yes' if chain else 'NO'}")
 
-rows = [[r.to_dict()[c] for c in CEA_CSV_COLUMNS] for r in rep.rows]
-write_text(out / "fem.csv", csv_text(CEA_CSV_COLUMNS, rows))
+write_text(out / "fem.csv",
+           csv_text(CEA_CSV_COLUMNS, [dataclasses.astuple(r) for r in rep.rows]))
 write_text(out / "fem.json", json_text(
     "fem", {"family": "crisscross", "alpha": 1.5, "field": "sinsin"},
-    {"rows": [r.to_dict() for r in rep.rows]},
+    {"rows": [dataclasses.asdict(r) for r in rep.rows]},
 ))
 series = {
     "interp_h1": [(r.max_R_K, r.interp_h1) for r in rep.rows],

@@ -5,6 +5,12 @@ as CSV and/or JSON (plus an optional SVG convergence plot) under --out;
 the primary report is also printed to stdout; --format csv is a usage
 error for a report with no CSV table.  Identical configurations produce
 byte-identical outputs (see ``report``); every random sweep is seeded.
+Where a report is a result dataclass (``TriangleMetrics``,
+``CanonicalForm``, ``MeshStats``, ``CeaRow``), the dataclass is its
+``circumlab/1`` schema: its fields in order are the JSON keys and CSV
+columns.  A flag that another flag of the command makes useless is a usage
+error (vertices with --needle, two of the constants modes, --needle-study
+with a triangle or --quad-degree).
 
 Exit codes: 0 success (audits pass), 1 an asserted bound failed, 2 usage
 error, 3 degenerate triangle input, 4 numerical failure (no convergence /
@@ -13,6 +19,7 @@ ill-conditioning).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -93,17 +100,10 @@ def _cmd_triangle(args) -> int:
     form = canonicalize(tri)
     results = {
         "vertices": [list(tri.p1), list(tri.p2), list(tri.p3)],
-        "metrics": {
-            "A": m.A, "B": m.B, "C": m.C, "S": m.S, "h_K": m.h_K,
-            "rho_K": m.rho_K, "R_K": m.R_K, "theta_min": m.theta_min,
-            "theta_max": m.theta_max, "C_K": m.C_K,
-        },
+        "metrics": dataclasses.asdict(m),
         "condition_flags": flags,
-        "canonical": {
-            "s": form.s, "t": form.t, "eta": form.eta, "a": form.a,
-            "b": form.b, "X": form.X, "Y": form.Y, "ratio": form.ratio,
-            "canonical_circumradius": form.canonical_circumradius,
-        },
+        "canonical": {**dataclasses.asdict(form),
+                      "canonical_circumradius": form.canonical_circumradius},
     }
     config = {
         "vertices": args.vertices, "needle": args.needle,
@@ -131,6 +131,9 @@ def _parse_p(token: str) -> float:
 def _cmd_interp(args) -> int:
     if args.needle_study is None:
         _no_csv_table(args)
+    elif args.vertices or args.needle is not None or args.quad_degree is not None:
+        raise UsageError("--needle-study builds its own triangles and rules; "
+                         "it takes no vertices, --needle or --quad-degree")
     field = get_field(args.field)
     p = _parse_p(args.p)
     if args.needle_study is not None:
@@ -214,9 +217,10 @@ def _cmd_constants(args) -> int:
         "B": lambda: constants.rayleigh_B(tri, args.degree),
         "D": lambda: constants.rayleigh_D(tri, args.degree),
     }
-    if args.kind not in solver:
-        raise UsageError(f"--kind {args.kind!r} not one of A1, A2, B, D")
-    est = solver[args.kind]()
+    kind = "A1" if args.kind is None else args.kind
+    if kind not in solver:
+        raise UsageError(f"--kind {kind!r} not one of A1, A2, B, D")
+    est = solver[kind]()
     results = {
         "kind": est.kind,
         "degree": est.subspace_degree,
@@ -225,7 +229,7 @@ def _cmd_constants(args) -> int:
         "history": [{"degree": d, "value": v} for d, v in est.history],
     }
     config = {
-        "kind": args.kind, "degree": args.degree,
+        "kind": kind, "degree": args.degree,
         "vertices": args.vertices, "needle": args.needle,
     }
     doc = report.json_text("constants", config, results)
@@ -243,7 +247,7 @@ def _cmd_mesh(args) -> int:
             raise UsageError(f"cannot read mesh file {args.check!r}: {exc}") from None
         m = mesh.read_mesh(text)
         st = mesh.stats(m)
-        results = {"stats": st.to_dict(), "warnings": m.warnings}
+        results = {"stats": dataclasses.asdict(st), "warnings": m.warnings}
         doc = report.json_text("mesh", {"check": args.check}, results)
         _emit(args, "mesh", None, None, doc)
         return EXIT_OK
@@ -257,7 +261,7 @@ def _cmd_mesh(args) -> int:
         raise UsageError(f"--family {args.family!r} not one of uniform, crisscross, lens")
     st = mesh.stats(m)
     config = {"family": args.family, "n": args.n, "alpha": args.alpha}
-    doc = report.json_text("mesh", config, {"stats": st.to_dict()})
+    doc = report.json_text("mesh", config, {"stats": dataclasses.asdict(st)})
     if args.out:
         report.write_text(f"{args.out}/mesh_{args.family}_{args.n}.txt",
                           mesh.write_mesh(m))
@@ -276,15 +280,13 @@ def _cmd_fem(args) -> int:
     else:
         raise UsageError(f"--family {args.family!r} not one of uniform, crisscross")
     rep = fem.cea_study(factory, ns, field)
-    columns = fem.CEA_CSV_COLUMNS
-    rows = [[r.to_dict()[c] for c in columns] for r in rep.rows]
     config = {
         "family": args.family, "alpha": args.alpha, "field": args.field,
         "levels": args.levels, "n0": args.n0,
     }
     doc = report.json_text("fem", config,
-                           {"rows": [r.to_dict() for r in rep.rows]})
-    _emit(args, "fem", columns, rows, doc)
+                           {"rows": [dataclasses.asdict(r) for r in rep.rows]})
+    _emit(args, "fem", fem.CEA_CSV_COLUMNS, [dataclasses.astuple(r) for r in rep.rows], doc)
     if args.svg and args.out:
         series = {
             "interp_h1": [(r.max_R_K, r.interp_h1) for r in rep.rows],
@@ -310,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
     def triangle_args(p):
-        p.add_argument("vertices", nargs="*", default=[],
-                       help="three vertices: x1,y1 x2,y2 x3,y3")
-        p.add_argument("--needle", nargs=2, type=float, metavar=("H", "ALPHA"),
-                       default=None, help="isosceles base H, height H**ALPHA")
+        where = p.add_mutually_exclusive_group()
+        where.add_argument("vertices", nargs="*", default=[],
+                           help="three vertices: x1,y1 x2,y2 x3,y3")
+        where.add_argument("--needle", nargs=2, type=float, metavar=("H", "ALPHA"),
+                           default=None, help="isosceles base H, height H**ALPHA")
 
     p = sub.add_parser("triangle", help="metrics, condition flags, canonical form")
     common(p)
@@ -328,21 +331,25 @@ def build_parser() -> argparse.ArgumentParser:
     triangle_args(p)
     p.add_argument("--field", default="sinsin")
     p.add_argument("--p", default="2")
-    p.add_argument("--needle-study", type=float, default=None, metavar="ALPHA")
+    p.add_argument("--needle-study", type=float, default=None, metavar="ALPHA",
+                   help="rows over the needle family; no vertices, --needle "
+                        "or --quad-degree")
     p.add_argument("--levels", type=int, default=9,
                    help="rows h = 2^-2 .. 2^-(levels+1)")
     p.add_argument("--quad-degree", type=int, default=None,
-                   help="fixed quadrature degree override")
+                   help="fixed quadrature degree (single triangle only)")
     p.set_defaults(handler=_cmd_interp)
 
     p = sub.add_parser("constants", help="quotient constants and bound audits")
     common(p)
     triangle_args(p)
-    p.add_argument("--babuska-aziz", action="store_true")
-    p.add_argument("--kind", default="A1", help="A1, A2, B, or D")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--babuska-aziz", action="store_true")
+    mode.add_argument("--kind", default=None,
+                      help="A1 (the default), A2, B, or D")
+    mode.add_argument("--audit", action="store_true",
+                      help="run the lower-bound audits over seeded triangles")
     p.add_argument("--degree", type=int, default=12)
-    p.add_argument("--audit", action="store_true",
-                   help="run the lower-bound audits over seeded triangles")
     p.add_argument("--right", type=int, default=20,
                    help="audit: number of seeded right triangles")
     p.add_argument("--canonical", type=int, default=50,

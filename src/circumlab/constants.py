@@ -42,8 +42,8 @@ import scipy.linalg
 
 from . import _basis
 from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
-from .geometry import Triangle, canonicalize, edge_lengths_and_area, metrics
-from .quadrature import _read_only, make_rule
+from .geometry import Triangle, canonicalize, edge_lengths, metrics
+from .quadrature import make_rule, read_only
 
 # Published approximate value of the vertex-constrained second-order
 # quotient D_2 on the reference triangle (Liu-Kikuchi): 1/0.167.
@@ -150,8 +150,7 @@ def _rule_table(degree: int) -> tuple[np.ndarray, dict]:
     basis table (values and derivatives to order 2) at its points."""
     rule = make_rule(min(2 * degree, 30))
     tab = _basis.tabulate(degree, rule.points[:, 1], rule.points[:, 2])
-    _read_only(*tab.values())
-    return rule.weights, tab
+    return rule.weights, {k: read_only(a) for k, a in tab.items()}
 
 
 @cache
@@ -171,8 +170,7 @@ def _constraint_rows(degree: int, constraint: str) -> np.ndarray:
         zero = np.zeros_like(t)
         x, y = (t, zero) if constraint == "edge1" else (zero, t)
         rows = (0.5 * wg @ _basis.tabulate(degree, x, y, order=0)["v"])[None, :]
-    _read_only(rows)
-    return rows
+    return read_only(rows)
 
 
 @cache
@@ -181,9 +179,7 @@ def _null_space(degree: int, constraint: str, sub_degree: int) -> np.ndarray:
     satisfy ``constraint``, as coefficients in the degree-``degree`` basis
     (whose edge-mean rules depend on ``degree``)."""
     k = _basis_size(sub_degree)
-    z = scipy.linalg.null_space(_constraint_rows(degree, constraint)[:, :k])
-    _read_only(z)
-    return z
+    return read_only(scipy.linalg.null_space(_constraint_rows(degree, constraint)[:, :k]))
 
 
 def _grams(tri: Triangle, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -220,7 +216,7 @@ def _right_triangle_ordered(tri: Triangle) -> Triangle:
     The triangle must have its right angle between axis-parallel legs.
     """
     v = [tri.p1, tri.p2, tri.p3]
-    tol = _AXIS_REL_TOL * max(edge_lengths_and_area(tri.vertices)[:3])
+    tol = _AXIS_REL_TOL * max(edge_lengths(tri.vertices))
     for i in range(3):
         c = v[i]
         others = [v[(i + 1) % 3], v[(i + 2) % 3]]

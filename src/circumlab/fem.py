@@ -9,9 +9,14 @@ The chain being exhibited numerically is
 (energy optimality of the Galerkin solution, then the per-element
 circumradius bound summed over the mesh), so the solutions converge as
 long as max_K R_K -> 0, regardless of the maximum angle.
+
+``CeaRow`` is the schema of a study's ``circumlab/1`` rows: the JSON row is
+its ``dataclasses.asdict``, the CSV row its ``dataclasses.astuple`` under
+``CEA_CSV_COLUMNS``, the names of its fields in order.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,29 +214,8 @@ class CeaRow:
     cg_iterations: int
     cg_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "n": self.n,
-            "n_triangles": self.n_triangles,
-            "max_R_K": self.max_R_K,
-            "h_max": self.h_max,
-            "max_angle": self.max_angle,
-            "interp_h1": self.interp_h1,
-            "h1_seminorm_error": self.h1_seminorm_error,
-            "h1_norm_error": self.h1_norm_error,
-            "semi_22_exact": self.semi_22_exact,
-            "quotient": self.quotient,
-            "cg_iterations": self.cg_iterations,
-            "cg_residual": self.cg_residual,
-        }
 
-
-CEA_CSV_COLUMNS = (
-    "level", "n", "n_triangles", "max_R_K", "h_max", "max_angle", "interp_h1",
-    "h1_seminorm_error", "h1_norm_error", "semi_22_exact", "quotient",
-    "cg_iterations", "cg_residual",
-)
+CEA_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(CeaRow))
 
 
 @dataclass(frozen=True)

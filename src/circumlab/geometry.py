@@ -17,8 +17,7 @@ scaled copy of a canonical one with eta in (0, sqrt(3)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,38 +33,39 @@ _IDENTITY_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Triangle:
-    """Non-degenerate triangle; vertex order normalized to counterclockwise."""
+    """Non-degenerate triangle; vertex order normalized to counterclockwise.
+    ``area``, the (positive) signed area, is computed once, on construction."""
 
     p1: tuple[float, float]
     p2: tuple[float, float]
     p3: tuple[float, float]
+    area: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p1 = (float(self.p1[0]), float(self.p1[1]))
         p2 = (float(self.p2[0]), float(self.p2[1]))
         p3 = (float(self.p3[0]), float(self.p3[1]))
         v = np.array([p1, p2, p3])
-        if _below_area_floor(v):
-            with np.errstate(over="ignore"):  # the area may be what overflowed
-                area = abs(signed_area(v))
+        with np.errstate(over="ignore"):  # an overflow is what the test detects
+            s = signed_area(v)
+            degenerate = _degenerate(*edge_lengths(v), np.abs(s))
+        if degenerate:
             raise DegenerateTriangle(
-                f"area {area:.3e} below floor {AREA_FLOOR:g}*h^2 "
+                f"area {abs(s):.3e} below floor {AREA_FLOOR:g}*h^2 "
                 f"or with its square outside the normal float64 range "
                 f"for vertices {p1}, {p2}, {p3}"
             )
-        if signed_area(v) < 0.0:
+        if s < 0.0:
             p2, p3 = p3, p2
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "p3", p3)
+        # swapping two vertices negates the signed area exactly
+        object.__setattr__(self, "area", float(abs(s)))
 
     @property
     def vertices(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
-
-    @cached_property
-    def area(self) -> float:
-        return float(signed_area(self.vertices))
 
 
 def signed_area(pts):
@@ -98,21 +98,20 @@ def element_geometry(p):
     return areas, gx, gy
 
 
-def edge_lengths_and_area(pts):
-    """Edge lengths A, B, C (opposite p1, p2, p3) and absolute area S of
-    each triangle of a (..., 3, 2) vertex array."""
+def edge_lengths(pts):
+    """Edge lengths A, B, C (opposite p1, p2, p3) of each triangle of a
+    (..., 3, 2) vertex array."""
     p = np.asarray(pts, dtype=float)
     x, y = p[..., 0], p[..., 1]
-    a, b, c = (np.hypot(x[..., j] - x[..., i], y[..., j] - y[..., i])
-               for i, j in ((1, 2), (2, 0), (0, 1)))
-    return a, b, c, np.abs(signed_area(p))
+    return tuple(np.hypot(x[..., j] - x[..., i], y[..., j] - y[..., i])
+                 for i, j in ((1, 2), (2, 0), (0, 1)))
 
 
-def _below_area_floor(pts):
-    """The degeneracy test for a (..., 3, 2) array: ``_degenerate`` of its
-    edge lengths and areas."""
-    with np.errstate(over="ignore"):  # an overflow is what this detects
-        return _degenerate(*edge_lengths_and_area(pts))
+def edge_lengths_and_area(pts):
+    """``edge_lengths`` and the absolute area S of each triangle of a
+    (..., 3, 2) vertex array."""
+    p = np.asarray(pts, dtype=float)
+    return (*edge_lengths(p), np.abs(signed_area(p)))
 
 
 def _degenerate(A, B, C, S):
@@ -188,7 +187,8 @@ def shape_quantities(A, B, C, S):
 def metrics(tri: Triangle) -> TriangleMetrics:
     """All metric quantities of ``tri`` (edges, area, radii, angles, C(K)),
     as the one-row case of ``shape_quantities``."""
-    A, B, C, S = (float(x) for x in edge_lengths_and_area(tri.vertices))
+    A, B, C = (float(x) for x in edge_lengths(tri.vertices))
+    S = tri.area
     h, rho, R, ck, angles = shape_quantities(A, B, C, S)
     return TriangleMetrics(
         A=A,
@@ -264,12 +264,12 @@ def canonicalize(tri: Triangle) -> CanonicalForm:
     (0, sqrt(3)] because the baseline is the longest edge.
     """
     v = [tri.p1, tri.p2, tri.p3]
-    edges = edge_lengths_and_area(tri.vertices)
-    lengths = [float(e) for e in edges[:3]]
+    edges = edge_lengths(tri.vertices)
+    lengths = [float(e) for e in edges]
     lmax = max(lengths)
     candidates = [i for i in range(3) if lengths[i] == lmax]
     if len(candidates) > 1:
-        angs = shape_quantities(*edges)[4]
+        angs = shape_quantities(*edges, tri.area)[4]
         amax = max(angs[i] for i in candidates)
         candidates = [i for i in candidates if angs[i] == amax]
     i = min(candidates)
@@ -317,7 +317,7 @@ def random_triangles(n: int, rng: np.random.Generator) -> np.ndarray:
     got = 0
     while got < n:
         pts = rng.random((n - got, 3, 2))
-        keep = pts[~_below_area_floor(pts)]
+        keep = pts[~_degenerate(*edge_lengths_and_area(pts))]
         out[got : got + len(keep)] = keep
         got += len(keep)
     return out

@@ -6,6 +6,9 @@ to pi while the largest circumradius still tends to zero: an anisotropic
 crisscross of the unit square (columns of width 1/n, rows of height about
 (1/n)**alpha, each cell split into 4 by its center) and a layered
 triangulation of the curved domain |x-y|^(3/2) + |x+y|^(3/2) < 2.
+
+``MeshStats`` is the schema of the ``circumlab/1`` mesh statistics, which
+are its ``dataclasses.asdict``.
 """
 from __future__ import annotations
 
@@ -17,14 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
-from .geometry import (AREA_FLOOR, Triangle, _degenerate, edge_lengths_and_area,
+from .geometry import (AREA_FLOOR, Triangle, _degenerate, edge_lengths,
                        element_geometry, shape_quantities, signed_area)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    v = a.view()
-    v.flags.writeable = False
-    return v
+from .quadrature import read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +42,7 @@ class Mesh:
 
     def __post_init__(self):
         for name, dtype in (("vertices", float), ("boundary", bool), ("triangles", np.int64)):
-            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype)))
+            object.__setattr__(self, name, read_only(np.asarray(getattr(self, name), dtype)))
 
     @property
     def n_vertices(self) -> int:
@@ -57,14 +55,14 @@ class Mesh:
     @cached_property
     def coords(self) -> np.ndarray:
         """(nt, 3, 2) vertex coordinates per element, read-only."""
-        return _read_only(self.vertices[self.triangles])
+        return read_only(self.vertices[self.triangles])
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``element_geometry`` of ``coords``: signed areas (nt,) and hat
         gradients gx, gy (nt, 3), read-only.  Raises DegenerateTriangle on
         the first element with a non-positive area."""
-        return tuple(map(_read_only, element_geometry(self.coords)))
+        return tuple(map(read_only, element_geometry(self.coords)))
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,6 @@ class MeshStats:
     min_angle: float
     max_angle: float
     min_rho_over_h: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_triangles": self.n_triangles,
-            "h_max": self.h_max,
-            "max_R_K": self.max_R_K,
-            "min_angle": self.min_angle,
-            "max_angle": self.max_angle,
-            "min_rho_over_h": self.min_rho_over_h,
-        }
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +144,7 @@ def stats(mesh: Mesh) -> MeshStats:
     test rejects (area below the floor, or outside the float64 range)."""
     s = mesh.geometry[0]
     with np.errstate(over="ignore"):  # an overflow is rejected below
-        a, b, c, _ = edge_lengths_and_area(mesh.coords)
+        a, b, c = edge_lengths(mesh.coords)
     bad = _degenerate(a, b, c, s)
     if np.any(bad):
         k = int(np.argmax(bad))

@@ -64,9 +64,12 @@ def make_rule(degree: int) -> QuadratureRule:
     return _gauss_rule(degree)
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, for arrays that are cached or shared;
+    ``a`` itself keeps its flags."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
 
 
 @functools.cache
@@ -83,8 +86,7 @@ def _gauss_rule(degree: int) -> QuadratureRule:
     y = (W * (1.0 - U)).ravel()
     wt = (0.25 * WU * WW * (1.0 - U)).ravel()
     pts = np.column_stack([1.0 - x - y, x, y])
-    _read_only(pts, wt)
-    return QuadratureRule(degree=degree, points=pts, weights=wt)
+    return QuadratureRule(degree=degree, points=read_only(pts), weights=read_only(wt))
 
 
 def p1_values(rule: QuadratureRule, nodal) -> np.ndarray:
@@ -249,9 +251,8 @@ def sup_rule(subdiv: int) -> QuadratureRule:
     a max over the points and ignores the weights; built once per
     ``subdiv``, with read-only arrays."""
     pts = barycentric_grid(subdiv)
-    wt = np.zeros(len(pts))
-    _read_only(pts, wt)
-    return QuadratureRule(degree=0, points=pts, weights=wt)
+    return QuadratureRule(degree=0, points=read_only(pts),
+                          weights=read_only(np.zeros(len(pts))))
 
 
 def seminorm(expr, spec: SeminormSpec, tri: Triangle,

@@ -256,3 +256,38 @@ def test_mesh_file_from_library_round_trips_through_cli(tmp_path, capsys):
     code, out = run(capsys, "mesh", "--check", str(path))
     assert code == 0
     assert json.loads(out)["results"]["stats"]["n_vertices"] == 9
+
+
+@pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
+def test_vertices_with_needle_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "0,0", "1,0", "0,1", "--needle", "0.5", "1.5"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", [
+    ["--audit", "--kind", "A1"],
+    ["--audit", "--babuska-aziz"],
+    ["--babuska-aziz", "--kind", "D"],
+], ids=["audit-kind", "audit-babuska-aziz", "babuska-aziz-kind"])
+def test_two_constants_modes_exit_2(modes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", *modes])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--quad-degree", "10"],
+    ["0,0", "1,0", "0,1"],
+    ["--needle", "0.5", "1.5"],
+], ids=["quad-degree", "vertices", "needle"])
+def test_needle_study_with_single_triangle_flag_exit_2(extra, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["interp", "--needle-study", "1.5", "--levels", "2",
+                     "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("usage error: --needle-study")

@@ -228,8 +228,11 @@ class TestCallCounts:
     ], ids=["one-rule", "adaptive"])
     def test_element_geometry_once(self, monkeypatch, field, tri):
         calls = record_calls(monkeypatch, geometry.element_geometry, np.shape)
+        # the metrics take the area the Triangle computed on construction
+        areas = record_calls(monkeypatch, geometry.signed_area, np.shape)
         error_report(tri, field, 2.0)
         assert calls == [(3, 2)]
+        assert areas == [(3, 2)]
 
 
 class TestAgainstExactOracle:
