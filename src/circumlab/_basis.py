@@ -19,7 +19,6 @@ truncating to a leading block restricts to the degree-d subspace.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 
 def index_pairs(degree: int) -> list[tuple[int, int]]:
@@ -30,19 +29,21 @@ def index_pairs(degree: int) -> list[tuple[int, int]]:
 def _jac(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
     if n < 0:
         return np.zeros_like(x)
+    from scipy.special import eval_jacobi
+
     return eval_jacobi(n, a, b, x)
 
 
 def _jac_d1(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
     if n < 1:
         return np.zeros_like(x)
-    return 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+    return 0.5 * (n + a + b + 1) * _jac(n - 1, a + 1, b + 1, x)
 
 
 def _jac_d2(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
     if n < 2:
         return np.zeros_like(x)
-    return 0.25 * (n + a + b + 1) * (n + a + b + 2) * eval_jacobi(n - 2, a + 2, b + 2, x)
+    return 0.25 * (n + a + b + 1) * (n + a + b + 2) * _jac(n - 2, a + 2, b + 2, x)
 
 
 def tabulate(degree: int, x: np.ndarray, y: np.ndarray, order: int = 2) -> dict:

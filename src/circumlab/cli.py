@@ -9,8 +9,12 @@ Where a report is a result dataclass (``TriangleMetrics``,
 ``CanonicalForm``, ``MeshStats``, ``CeaRow``), the dataclass is its
 ``circumlab/1`` schema: its fields in order are the JSON keys and CSV
 columns.  A flag that another flag of the command makes useless is a usage
-error (vertices with --needle, two of the constants modes, --needle-study
-with a triangle or --quad-degree).
+error: vertices with --needle, two of the constants modes, a triangle with
+--audit or --babuska-aziz, an audit flag without --audit, --degree with
+--babuska-aziz, --needle-study with a triangle or --quad-degree, --levels
+without --needle-study, a generator flag with --check, and --svg without
+--out.  Such flags default to None and take their value in the handler,
+so the config echoed by a default run names the value used.
 
 Exit codes: 0 success (audits pass), 1 an asserted bound failed, 2 usage
 error, 3 degenerate triangle input, 4 numerical failure (no convergence /
@@ -74,6 +78,14 @@ def _triangle_from_args(args) -> Triangle:
     return Triangle(*(_parse_vertex(t) for t in args.vertices))
 
 
+def _refuse(flags: dict, reason: str) -> None:
+    """Raise UsageError naming the flags of ``flags`` (name -> parsed value,
+    None or [] when not given) that were given, as not used ``reason``."""
+    given = [name for name, value in flags.items() if value not in (None, [])]
+    if given:
+        raise UsageError(f"{' and '.join(given)} not used {reason}")
+
+
 def _no_csv_table(args) -> None:
     """Reject --format csv for a report that has no CSV table."""
     if args.format == "csv":
@@ -114,9 +126,9 @@ def _cmd_triangle(args) -> int:
     return EXIT_OK
 
 
-def _check_levels(args) -> None:
-    if args.levels < 1:
-        raise UsageError(f"--levels {args.levels} must be >= 1")
+def _check_levels(levels: int) -> None:
+    if levels < 1:
+        raise UsageError(f"--levels {levels} must be >= 1")
 
 
 def _parse_p(token: str) -> float:
@@ -131,19 +143,21 @@ def _parse_p(token: str) -> float:
 def _cmd_interp(args) -> int:
     if args.needle_study is None:
         _no_csv_table(args)
+        _refuse({"--levels": args.levels}, "without --needle-study")
     elif args.vertices or args.needle is not None or args.quad_degree is not None:
         raise UsageError("--needle-study builds its own triangles and rules; "
                          "it takes no vertices, --needle or --quad-degree")
     field = get_field(args.field)
     p = _parse_p(args.p)
     if args.needle_study is not None:
-        _check_levels(args)
-        hs = [2.0 ** -(k + 2) for k in range(args.levels)]
+        levels = 9 if args.levels is None else args.levels
+        _check_levels(levels)
+        hs = [2.0 ** -(k + 2) for k in range(levels)]
         rows = interp.needle_study(hs, args.needle_study, field, p)
         csv_rows = [interp.needle_row_csv(r) for r in rows]
         config = {
             "field": args.field, "p": args.p, "alpha": args.needle_study,
-            "levels": args.levels,
+            "levels": levels,
         }
         doc = report.json_text("interp", config,
                                {"rows": [r.to_dict() for r in rows]})
@@ -163,12 +177,12 @@ def _cmd_interp(args) -> int:
     return EXIT_OK if rep.bound_satisfied else EXIT_AUDIT_FAILED
 
 
-def _audit_triangles(args, rng) -> list[tuple[str, Triangle]]:
+def _audit_triangles(n_right: int, n_canonical: int, rng) -> list[tuple[str, Triangle]]:
     tris = [("reference", Triangle((0, 0), (1, 0), (0, 1)))]
-    for k in range(args.right):
+    for k in range(n_right):
         a, b = rng.uniform(0.1, 2.0, size=2)
         tris.append((f"right_{k}", Triangle((0, 0), (a, 0), (0, b))))
-    for k in range(args.canonical):
+    for k in range(n_canonical):
         s = rng.uniform(-0.9, 0.9)
         eta_hi = math.sqrt((3.0 + abs(s)) / (1.0 + abs(s)))
         eta = rng.uniform(0.3, eta_hi)
@@ -180,26 +194,37 @@ def _audit_triangles(args, rng) -> list[tuple[str, Triangle]]:
 def _cmd_constants(args) -> int:
     if args.babuska_aziz or not args.audit:
         _no_csv_table(args)
+    mode = "--audit" if args.audit else "--babuska-aziz" if args.babuska_aziz else None
+    if mode:
+        _refuse({"vertices": args.vertices, "--needle": args.needle}, f"with {mode}")
+    if not args.audit:
+        _refuse({"--right": args.right, "--canonical": args.canonical,
+                 "--seed": args.seed}, "without --audit")
     if args.babuska_aziz:
+        _refuse({"--degree": args.degree}, "with --babuska-aziz")
         root = constants.babuska_aziz_root()
         residual = 1.0 / root + math.tan(1.0 / root)
         results = {"root": root, "residual": residual, "A2": 1.0 / root}
         doc = report.json_text("constants", {"babuska_aziz": True}, results)
         _emit(args, "constants", None, None, doc)
         return EXIT_OK
+    degree = 12 if args.degree is None else args.degree
     if args.audit:
-        rng = np.random.default_rng(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        n_right = 20 if args.right is None else args.right
+        n_canonical = 50 if args.canonical is None else args.canonical
+        rng = np.random.default_rng(seed)
         records = []
         ok = True
-        for label, tri in _audit_triangles(args, rng):
-            rec = constants.lemma_inequality_audit(tri, degree=args.degree)
+        for label, tri in _audit_triangles(n_right, n_canonical, rng):
+            rec = constants.lemma_inequality_audit(tri, degree=degree)
             ok = ok and rec.all_pass
             d = rec.to_dict()
             d["label"] = label
             records.append(d)
         config = {
-            "audit": True, "seed": args.seed, "degree": args.degree,
-            "right": args.right, "canonical": args.canonical,
+            "audit": True, "seed": seed, "degree": degree,
+            "right": n_right, "canonical": n_canonical,
         }
         columns = ("label", "lemma", "computed", "bound", "pass")
         rows = [
@@ -212,10 +237,10 @@ def _cmd_constants(args) -> int:
         return EXIT_OK if ok else EXIT_AUDIT_FAILED
     tri = _triangle_from_args(args)
     solver = {
-        "A1": lambda: constants.rayleigh_A(tri, 1, args.degree),
-        "A2": lambda: constants.rayleigh_A(tri, 2, args.degree),
-        "B": lambda: constants.rayleigh_B(tri, args.degree),
-        "D": lambda: constants.rayleigh_D(tri, args.degree),
+        "A1": lambda: constants.rayleigh_A(tri, 1, degree),
+        "A2": lambda: constants.rayleigh_A(tri, 2, degree),
+        "B": lambda: constants.rayleigh_B(tri, degree),
+        "D": lambda: constants.rayleigh_D(tri, degree),
     }
     kind = "A1" if args.kind is None else args.kind
     if kind not in solver:
@@ -229,7 +254,7 @@ def _cmd_constants(args) -> int:
         "history": [{"degree": d, "value": v} for d, v in est.history],
     }
     config = {
-        "kind": kind, "degree": args.degree,
+        "kind": kind, "degree": degree,
         "vertices": args.vertices, "needle": args.needle,
     }
     doc = report.json_text("constants", config, results)
@@ -240,6 +265,8 @@ def _cmd_constants(args) -> int:
 def _cmd_mesh(args) -> int:
     _no_csv_table(args)
     if args.check:
+        _refuse({"--family": args.family, "--n": args.n, "--alpha": args.alpha},
+                "with --check")
         try:
             with open(args.check, encoding="utf-8") as fh:
                 text = fh.read()
@@ -251,26 +278,31 @@ def _cmd_mesh(args) -> int:
         doc = report.json_text("mesh", {"check": args.check}, results)
         _emit(args, "mesh", None, None, doc)
         return EXIT_OK
-    if args.family == "uniform":
-        m = mesh.gen_uniform(args.n)
-    elif args.family == "crisscross":
-        m = mesh.gen_crisscross_aniso(args.n, args.alpha)
-    elif args.family == "lens":
-        m = mesh.gen_lens(args.n)
+    family = "uniform" if args.family is None else args.family
+    n = 8 if args.n is None else args.n
+    alpha = 1.5 if args.alpha is None else args.alpha
+    if family == "uniform":
+        m = mesh.gen_uniform(n)
+    elif family == "crisscross":
+        m = mesh.gen_crisscross_aniso(n, alpha)
+    elif family == "lens":
+        m = mesh.gen_lens(n)
     else:
-        raise UsageError(f"--family {args.family!r} not one of uniform, crisscross, lens")
+        raise UsageError(f"--family {family!r} not one of uniform, crisscross, lens")
     st = mesh.stats(m)
-    config = {"family": args.family, "n": args.n, "alpha": args.alpha}
+    config = {"family": family, "n": n, "alpha": alpha}
     doc = report.json_text("mesh", config, {"stats": dataclasses.asdict(st)})
     if args.out:
-        report.write_text(f"{args.out}/mesh_{args.family}_{args.n}.txt",
+        report.write_text(f"{args.out}/mesh_{family}_{n}.txt",
                           mesh.write_mesh(m))
     _emit(args, "mesh", None, None, doc)
     return EXIT_OK
 
 
 def _cmd_fem(args) -> int:
-    _check_levels(args)
+    _check_levels(args.levels)
+    if args.svg and not args.out:
+        raise UsageError("--svg writes fem.svg under --out; give --out")
     field = get_field(args.field)
     ns = [args.n0 * 2 ** k for k in range(args.levels)]
     if args.family == "uniform":
@@ -287,7 +319,7 @@ def _cmd_fem(args) -> int:
     doc = report.json_text("fem", config,
                            {"rows": [dataclasses.asdict(r) for r in rep.rows]})
     _emit(args, "fem", fem.CEA_CSV_COLUMNS, [dataclasses.astuple(r) for r in rep.rows], doc)
-    if args.svg and args.out:
+    if args.svg:
         series = {
             "interp_h1": [(r.max_R_K, r.interp_h1) for r in rep.rows],
             "h1_seminorm_error": [(r.max_R_K, r.h1_seminorm_error) for r in rep.rows],
@@ -334,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--needle-study", type=float, default=None, metavar="ALPHA",
                    help="rows over the needle family; no vertices, --needle "
                         "or --quad-degree")
-    p.add_argument("--levels", type=int, default=9,
-                   help="rows h = 2^-2 .. 2^-(levels+1)")
+    p.add_argument("--levels", type=int, default=None,
+                   help="--needle-study: rows h = 2^-2 .. 2^-(levels+1) (9)")
     p.add_argument("--quad-degree", type=int, default=None,
                    help="fixed quadrature degree (single triangle only)")
     p.set_defaults(handler=_cmd_interp)
@@ -349,21 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
                       help="A1 (the default), A2, B, or D")
     mode.add_argument("--audit", action="store_true",
                       help="run the lower-bound audits over seeded triangles")
-    p.add_argument("--degree", type=int, default=12)
-    p.add_argument("--right", type=int, default=20,
-                   help="audit: number of seeded right triangles")
-    p.add_argument("--canonical", type=int, default=50,
-                   help="audit: number of seeded canonical triangles")
-    p.add_argument("--seed", type=int, default=0, help="audit: seed of the sweep")
+    p.add_argument("--degree", type=int, default=None,
+                   help="subspace degree (12); not with --babuska-aziz")
+    p.add_argument("--right", type=int, default=None,
+                   help="audit: number of seeded right triangles (20)")
+    p.add_argument("--canonical", type=int, default=None,
+                   help="audit: number of seeded canonical triangles (50)")
+    p.add_argument("--seed", type=int, default=None, help="audit: seed of the sweep (0)")
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("mesh", help="generators, statistics, file checking")
     common(p)
-    p.add_argument("--family", default="uniform")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=1.5)
+    p.add_argument("--family", default=None,
+                   help="uniform (the default), crisscross or lens")
+    p.add_argument("--n", type=int, default=None, help="subdivisions (8)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="crisscross anisotropy exponent (1.5)")
     p.add_argument("--check", default=None, metavar="FILE",
-                   help="validate a mesh file instead of generating")
+                   help="validate a mesh file instead of generating; "
+                        "no --family, --n or --alpha")
     p.set_defaults(handler=_cmd_mesh)
 
     p = sub.add_parser("fem", help="Poisson convergence studies")
@@ -373,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="sinsin")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--n0", type=int, default=8, help="coarsest n")
-    p.add_argument("--svg", action="store_true", help="also write an SVG plot")
+    p.add_argument("--svg", action="store_true",
+                   help="also write an SVG plot (needs --out)")
     p.set_defaults(handler=_cmd_fem)
     return parser
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 
 from . import _basis
 from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
@@ -178,6 +177,8 @@ def _null_space(degree: int, constraint: str, sub_degree: int) -> np.ndarray:
     """Orthonormal basis of the polynomials of degree <= ``sub_degree`` that
     satisfy ``constraint``, as coefficients in the degree-``degree`` basis
     (whose edge-mean rules depend on ``degree``)."""
+    import scipy.linalg
+
     k = _basis_size(sub_degree)
     return read_only(scipy.linalg.null_space(_constraint_rows(degree, constraint)[:, :k]))
 
@@ -234,6 +235,8 @@ def _solve(num: np.ndarray, z: np.ndarray, den: np.ndarray | None = None) -> flo
     """Smallest eigenvalue of the pencil (num, den), or of num alone, on
     the span of ``z``, an orthonormal basis of a constrained subspace of
     the leading len(z) basis functions."""
+    import scipy.linalg
+
     k = len(z)
     if z.shape[1] == 0:
         raise NotApplicable("constraints eliminate the whole subspace")

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import InconsistentSpec, NoConvergence, SingularSystem
 from .fields import ScalarField, neg_laplacian
@@ -39,6 +37,8 @@ MAX_CG_ITER = 20
 
 def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
     """Unconstrained P1 stiffness matrix (exact per-element closed form)."""
+    import scipy.sparse
+
     areas, gx, gy = mesh.geometry
     ke = areas[:, None, None] * (
         gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
@@ -109,6 +109,8 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
     when the block cannot be factored, and NoConvergence (with the history
     so far) after max_iter (default ``MAX_CG_ITER``) steps.
     """
+    import scipy.sparse.linalg
+
     a = sys.matrix
     b = sys.rhs
     n = len(b)

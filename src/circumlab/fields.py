@@ -63,23 +63,41 @@ class ScalarField:
             object.__setattr__(self, "_jet_of", evaluators)
 
 
-def _coeff_matrix(coeffs: list[float]) -> np.ndarray:
-    """Graded coefficient list -> dense (d+1)x(d+1) power matrix c[i, j]."""
-    n = len(coeffs)
+# the (x, y) derivative orders of the six layers of a polynomial's stack:
+# value, u_x, u_y, u_xx, u_xy, u_yy
+_LAYERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+@functools.cache
+def _stack_map(n_coeffs: int) -> tuple:
+    """Where the (6, n, n) stack of a polynomial with ``n_coeffs`` graded
+    coefficients gets its entries: (n, g, h, dst, src, f1, f2) with the
+    stack's flat entries ``dst`` equal to (coeffs[src] * f1) * f2 and all
+    others zero.  g and h are the sizes of the gradient and Hessian power
+    matrices.  A derivative of c x^p y^q carries its x factors first, so
+    u_xx takes (c * p) * (p - 1) and u_xy takes (c * p) * q."""
     d = 0
-    while (d + 1) * (d + 2) // 2 < n:
+    while (d + 1) * (d + 2) // 2 < n_coeffs:
         d += 1
-    if (d + 1) * (d + 2) // 2 != n:
+    if (d + 1) * (d + 2) // 2 != n_coeffs:
         raise UnknownField(
-            f"polynomial coefficient count {n} is not a triangular number"
+            f"polynomial coefficient count {n_coeffs} is not a triangular number"
         )
-    c = np.zeros((d + 1, d + 1))
-    k = 0
-    for deg in range(d + 1):
-        for i in range(deg, -1, -1):
-            c[i, deg - i] = coeffs[k]
-            k += 1
-    return c
+    n = d + 1
+    graded = [(i, deg - i) for deg in range(n) for i in range(deg, -1, -1)]
+    entries = []
+    for layer, (ax, ay) in enumerate(_LAYERS):
+        for k, (p, q) in enumerate(graded):
+            if p >= ax and q >= ay:
+                factors = [p - r for r in range(ax)] + [q - r for r in range(ay)]
+                factors += [1] * (2 - len(factors))
+                entries.append(((layer * n + p - ax) * n + q - ay, k, *factors))
+    dst, src, f1, f2 = zip(*entries)
+    arrays = (np.array(dst), np.array(src), np.array(f1, dtype=float),
+              np.array(f2, dtype=float))
+    for a in arrays:  # shared by every field of this size
+        a.flags.writeable = False
+    return (n, max(d, 1), max(d - 1, 1), *arrays)
 
 
 # points per block of the polynomial evaluator, so that a block's table of
@@ -137,18 +155,6 @@ def _polyjet(c: np.ndarray, x, y) -> tuple:
     return v, (gx, gy), (hxx, hxy, hyy)
 
 
-def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
-    """Power matrix of the x (axis 0) or y (axis 1) derivative of the
-    polynomial of total degree n - 1 with n x n power matrix c; the
-    derivative has degree n - 2, so its matrix is (n - 1) x (n - 1), and
-    1 x 1 zero for a constant."""
-    n = len(c)
-    if n == 1:
-        return np.zeros((1, 1))
-    k = np.arange(1, n)
-    return c[1:, :-1] * k[:, None] if axis == 0 else c[:-1, 1:] * k
-
-
 def polynomial_field(coeffs, name: str | None = None) -> ScalarField:
     """Polynomial sum c_ij x^i y^j from graded coefficients c00,c10,c01,...
 
@@ -161,15 +167,10 @@ def polynomial_field(coeffs, name: str | None = None) -> ScalarField:
     bad = [v for v in coeffs if not math.isfinite(v)]
     if bad:
         raise UnknownField(f"polynomial coefficient {bad[0]!r} is not finite")
-    c = _coeff_matrix(coeffs)
-    cx, cy = _derivative(c, 0), _derivative(c, 1)
-    parts = (c, cx, cy, _derivative(cx, 0), _derivative(cx, 1), _derivative(cy, 1))
-    n = len(c)
+    n, g, h, dst, src, f1, f2 = _stack_map(len(coeffs))
     stack = np.zeros((6, n, n))
-    for layer, part in zip(stack, parts):
-        layer[:len(part), :len(part)] = part
+    np.put(stack, dst, np.array(coeffs)[src] * f1 * f2)
     stack.flags.writeable = False
-    g, h = len(cx), len(parts[3])
     if name is None:
         name = "poly:" + ",".join(repr(v) for v in coeffs)
     return ScalarField(name=name, value=functools.partial(_polyval_one, stack[:1]),

@@ -291,3 +291,53 @@ def test_needle_study_with_single_triangle_flag_exit_2(extra, tmp_path, capsys):
     assert code == 2
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("usage error: --needle-study")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["constants", "--audit", "0,0", "1,0", "0,1"], "vertices"),
+    (["constants", "--audit", "--needle", "0.5", "1.5"], "--needle"),
+    (["constants", "--babuska-aziz", "0,0", "1,0", "0,1"], "vertices"),
+    (["constants", "--babuska-aziz", "--needle", "0.5", "1.5"], "--needle"),
+    (["constants", "--right", "2", "0,0", "1,0", "0,1"], "--right"),
+    (["constants", "--kind", "D", "--canonical", "2", "0,0", "1,0", "0,1"], "--canonical"),
+    (["constants", "--babuska-aziz", "--seed", "3"], "--seed"),
+    (["constants", "--babuska-aziz", "--degree", "4"], "--degree"),
+    (["interp", "0,0", "1,0", "0,1", "--levels", "3"], "--levels"),
+    (["mesh", "--check", "{mesh_file}", "--family", "lens"], "--family"),
+    (["mesh", "--check", "{mesh_file}", "--n", "4"], "--n"),
+    (["mesh", "--check", "{mesh_file}", "--alpha", "1.2"], "--alpha"),
+], ids=["audit-vertices", "audit-needle", "babuska-aziz-vertices",
+        "babuska-aziz-needle", "right-without-audit", "canonical-without-audit",
+        "seed-without-audit", "babuska-aziz-degree", "levels-without-needle-study",
+        "check-family", "check-n", "check-alpha"])
+def test_flag_made_useless_by_another_exit_2(argv, named, tmp_path, capsys):
+    mesh_file = tmp_path / "m.txt"
+    mesh_file.write_text(write_mesh(gen_uniform(2)))
+    out = tmp_path / "out"
+    argv = [a.format(mesh_file=mesh_file) for a in argv]
+    code = cli.main(argv + ["--format", "json", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("usage error:") and named in captured.err
+
+
+def test_fem_svg_without_out_exit_2(capsys):
+    code = cli.main(["fem", "--levels", "1", "--n0", "2", "--svg"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --svg") and "--out" in captured.err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["mesh", "--format", "json"], {"family": "uniform", "n": 8, "alpha": 1.5}),
+    (["constants", "--audit", "--right", "0", "--canonical", "0", "--degree", "4"],
+     {"audit": True, "seed": 0, "degree": 4, "right": 0, "canonical": 0}),
+    (["interp", "--needle-study", "1.5", "--format", "json"],
+     {"field": "sinsin", "p": "2", "alpha": 1.5, "levels": 9}),
+], ids=["mesh", "constants-audit", "interp-needle-study"])
+def test_unset_flags_echo_the_value_used(argv, config, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == config

@@ -188,6 +188,44 @@ class TestPolynomialEvaluator:
         y = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(f.value(2.0, y), 4.0 * y)
 
+    @pytest.mark.parametrize("degree", range(9))
+    def test_stack_equals_derivative_construction(self, degree):
+        # the stack as built by slicing the power matrix and multiplying by
+        # the exponents once per derivative.  Rounding makes (c * 5) * 3 and
+        # (c * 3) * 5 differ for about one c in five, so 40 draws pin the
+        # order of the factors; -0.0 and 0.0 coefficients check that signed
+        # zeros land where that construction puts them
+        rng = np.random.default_rng(300 + degree)
+        pairs = _graded_pairs(degree)
+        n = degree + 1
+
+        def derivative(m, axis):
+            if len(m) == 1:
+                return np.zeros((1, 1))
+            k = np.arange(1, len(m))
+            return m[1:, :-1] * k[:, None] if axis == 0 else m[:-1, 1:] * k
+
+        for _ in range(40):
+            coeffs = rng.uniform(-3, 3, size=len(pairs))
+            coeffs[::4] = -0.0
+            coeffs[1::5] = 0.0
+            c = np.zeros((n, n))
+            for coef, (i, j) in zip(coeffs, pairs):
+                c[i, j] = coef
+            cx, cy = derivative(c, 0), derivative(c, 1)
+            parts = (c, cx, cy, derivative(cx, 0), derivative(cx, 1), derivative(cy, 1))
+            want = np.zeros((6, n, n))
+            for layer, part in zip(want, parts):
+                layer[:len(part), :len(part)] = part
+            f = polynomial_field(coeffs)
+            stack = f.jet.args[0]
+            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+            assert not stack.flags.writeable
+            assert f.value.args[0].shape == (1, n, n)
+            assert f.grad.args[0].shape == (2,) + cx.shape
+            assert f.hess.args[0].shape == (3,) + parts[3].shape
+            assert f.name == "poly:" + ",".join(repr(float(v)) for v in coeffs)
+
 
 def _jet_components(out):
     v, (gx, gy), (hxx, hxy, hyy) = out

@@ -1,4 +1,5 @@
-"""The package's import layering: geometry -> quadrature -> {interp, fem}."""
+"""The package's import layering: geometry -> quadrature -> {interp, fem},
+and scipy imported only inside functions."""
 import ast
 from pathlib import Path
 
@@ -49,3 +50,36 @@ def test_import_scan_sees_relative_imports():
     # imports modules by name (from . import x)
     assert {"geometry", "quadrature"} <= package_imports("interp")
     assert {"fem", "interp", "constants"} <= package_imports("cli")
+
+
+def scipy_imports(module: str, *, module_level: bool) -> set[str]:
+    """The scipy modules that ``module`` imports: with ``module_level``
+    only those imported when the module is (outside function bodies),
+    else all of them."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        nodes.extend(ast.iter_child_nodes(node))
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_scipy_import_at_module_level(module):
+    # importing the package loads numpy only; scipy loads on first use
+    assert scipy_imports(module, module_level=True) == set()
+
+
+def test_scipy_only_inside_fem_constants_and_basis():
+    users = {m for m in MODULES if scipy_imports(m, module_level=False)}
+    assert users == {"fem", "constants", "_basis"}
