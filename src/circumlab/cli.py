@@ -318,15 +318,23 @@ def _cmd_fem(args) -> int:
     }
     doc = report.json_text("fem", config,
                            {"rows": [dataclasses.asdict(r) for r in rep.rows]})
-    _emit(args, "fem", fem.CEA_CSV_COLUMNS, [dataclasses.astuple(r) for r in rep.rows], doc)
+    svg = None
     if args.svg:
+        # built before anything is written, so a plot that cannot be drawn
+        # leaves no partial report
         series = {
             "interp_h1": [(r.max_R_K, r.interp_h1) for r in rep.rows],
             "h1_seminorm_error": [(r.max_R_K, r.h1_seminorm_error) for r in rep.rows],
             "h1_norm_error": [(r.max_R_K, r.h1_norm_error) for r in rep.rows],
         }
-        svg = report.svg_loglog(series, xlabel="max R_K", ylabel="error",
-                                title=f"{args.family} / {args.field}")
+        try:
+            svg = report.svg_loglog(series, xlabel="max R_K", ylabel="error",
+                                    title=f"{args.family} / {args.field}")
+        except ValueError:  # every error is 0, e.g. for a zero exact solution
+            raise UsageError(f"--svg has no positive error of {args.field} to "
+                             "plot on log axes; drop --svg") from None
+    _emit(args, "fem", fem.CEA_CSV_COLUMNS, [dataclasses.astuple(r) for r in rep.rows], doc)
+    if svg is not None:
         report.write_text(f"{args.out}/fem.svg", svg)
     return EXIT_OK
 

@@ -10,6 +10,18 @@ The chain being exhibited numerically is
 circumradius bound summed over the mesh), so the solutions converge as
 long as max_K R_K -> 0, regardless of the maximum angle.
 
+Every mesh-wide quadrature pass, the load vector's and the error
+functionals', runs over consecutive blocks of elements, each one
+``FieldAtRule`` on the mesh's own coordinates and geometry with at most
+``JET_MAX_POINTS`` rule points, so a field with a jet gives value, gradient
+and Hessian in one call per block and no array spans (rule points x
+elements).  ``_error_pass`` is the one error pass: per element the
+|u - u_h|_0^2 and |u - u_h|_1^2 of each nodal vector it is given and
+|u|_2^2, each row summed over the whole mesh in element-index order, so the
+sums do not depend on the block size.  ``h1_error``,
+``interpolation_h1_error`` and ``hessian_seminorm`` are its views, and one
+pass serves a whole ``cea_study`` row.
+
 ``CeaRow`` is the schema of a study's ``circumlab/1`` rows: the JSON row is
 its ``dataclasses.asdict``, the CSV row its ``dataclasses.astuple`` under
 ``CEA_CSV_COLUMNS``, the names of its fields in order.
@@ -19,14 +31,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InconsistentSpec, NoConvergence, SingularSystem
 from .fields import ScalarField, neg_laplacian
 from .mesh import Mesh, stats
-from .quadrature import FieldAtRule, make_rule, physical_points
+from .quadrature import JET_MAX_POINTS, FieldAtRule, QuadratureRule, make_rule
 
 LOAD_QUAD_DEGREE = 4
 ERROR_QUAD_DEGREE = 6
@@ -52,14 +63,25 @@ def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
     return a.tocsr()
 
 
+def _blocks(mesh: Mesh, field: ScalarField, rule: QuadratureRule):
+    """(slice, ``FieldAtRule``) over consecutive blocks of the mesh's
+    elements, each with at most ``JET_MAX_POINTS`` points of ``rule``, on
+    the matching slices of ``mesh.coords`` and ``mesh.geometry``."""
+    size = JET_MAX_POINTS // len(rule.weights)
+    for start in range(0, mesh.n_triangles, size):
+        sl = slice(start, start + size)
+        yield sl, FieldAtRule(mesh.coords[sl], field, rule, tuple(g[sl] for g in mesh.geometry))
+
+
 def load_vector(mesh: Mesh, f: ScalarField) -> np.ndarray:
     """int f * hat_i by per-element quadrature of degree 4."""
     rule = make_rule(LOAD_QUAD_DEGREE)
-    xq, yq, w = physical_points(rule, mesh.coords, mesh.geometry[0])  # (nq, nt)
-    fv = np.asarray(f.value(xq, yq), dtype=float)
-    contrib = ((w * fv)[:, :, None] * rule.points[:, None, :]).sum(axis=0)
     b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
+    for sl, at_rule in _blocks(mesh, f, rule):
+        fw = at_rule.points[2] * at_rule.value  # (nq, block)
+        contrib = (fw[:, :, None] * rule.points[:, None, :]).sum(axis=0)
+        # block by block in element order: the order of the whole-mesh add.at
+        np.add.at(b, mesh.triangles[sl].ravel(), contrib.ravel())
     return b
 
 
@@ -154,50 +176,40 @@ def interpolant_values(mesh: Mesh, u: ScalarField) -> np.ndarray:
     return np.asarray(u.value(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
 
 
-class MeshErrorContext(FieldAtRule):
-    """``FieldAtRule`` for the elements of a mesh at the degree-6 error
-    rule, plus the field's values at the mesh vertices.  The error
-    functionals below take it in place of their field, so that one study
-    row evaluates the exact field once per evaluator.  Its element
-    coordinates and geometry are the mesh's own."""
-
-    def __init__(self, mesh: Mesh, field: ScalarField):
-        super().__init__(mesh.coords, field, make_rule(ERROR_QUAD_DEGREE), mesh.geometry)
-        self.mesh = mesh
-
-    @cached_property
-    def nodal(self) -> np.ndarray:
-        return interpolant_values(self.mesh, self.field)
-
-
-def _context(mesh: Mesh, u) -> MeshErrorContext:
-    if not isinstance(u, MeshErrorContext):
-        return MeshErrorContext(mesh, u)
-    if u.mesh is not mesh:
-        raise InconsistentSpec("the error context belongs to another mesh")
-    return u
+def _error_pass(mesh: Mesh, u: ScalarField, nodals, hessian: bool) -> list[float]:
+    """The squared mesh errors of u in one pass over the error rule: for
+    each vertex vector of ``nodals`` |u - u_h|_{0,2}^2 and |u - u_h|_{1,2}^2,
+    then |u|_{2,2}^2 (weight-2 mixed term) when ``hessian``.  Each is
+    summed over all elements in element-index order."""
+    per_element = np.empty((2 * len(nodals) + hessian, mesh.n_triangles))
+    for sl, at_rule in _blocks(mesh, u, make_rule(ERROR_QUAD_DEGREE)):
+        t = mesh.triangles[sl]
+        rows = [e for nodal in nodals for e in at_rule.error_power(nodal[t], 2.0)]
+        if hessian:
+            rows.append(at_rule.hessian_power(2.0))
+        for row, e in zip(per_element, rows):
+            row[sl] = e
+    return [float(np.add.reduce(row)) for row in per_element]
 
 
-def h1_error(mesh: Mesh, nodal: np.ndarray, exact) -> tuple[float, float]:
-    """(H1-seminorm error, full H1-norm error) of a nodal P1 function
-    against ``exact`` (a field or a ``MeshErrorContext`` of this mesh),
-    accumulated in element-index order."""
-    l22, semi2 = (float(np.add.reduce(e)) for e in _context(mesh, exact).error_power(
-        nodal[mesh.triangles], 2.0))
+def _h1(l22: float, semi2: float) -> tuple[float, float]:
     return math.sqrt(semi2), math.sqrt(semi2 + l22)
 
 
-def hessian_seminorm(mesh: Mesh, u) -> float:
-    """|u|_{2,2} over the meshed domain (weight-2 mixed term); u is a field
-    or a ``MeshErrorContext`` of this mesh."""
-    return math.sqrt(float(np.add.reduce(_context(mesh, u).hessian_power(2.0))))
+def h1_error(mesh: Mesh, nodal: np.ndarray, exact: ScalarField) -> tuple[float, float]:
+    """(H1-seminorm error, full H1-norm error) of a nodal P1 function
+    against ``exact``."""
+    return _h1(*_error_pass(mesh, exact, [nodal], False))
 
 
-def interpolation_h1_error(mesh: Mesh, u) -> tuple[float, float]:
-    """Mesh-wide H1 interpolation error |u - I_h u| (seminorm, full norm);
-    u is a field or a ``MeshErrorContext`` of this mesh."""
-    ctx = _context(mesh, u)
-    return h1_error(mesh, ctx.nodal, ctx)
+def hessian_seminorm(mesh: Mesh, u: ScalarField) -> float:
+    """|u|_{2,2} over the meshed domain (weight-2 mixed term)."""
+    return math.sqrt(_error_pass(mesh, u, [], True)[0])
+
+
+def interpolation_h1_error(mesh: Mesh, u: ScalarField) -> tuple[float, float]:
+    """Mesh-wide H1 interpolation error |u - I_h u| (seminorm, full norm)."""
+    return h1_error(mesh, interpolant_values(mesh, u), u)
 
 
 @dataclass(frozen=True)
@@ -238,21 +250,22 @@ def cea_study(mesh_factory, ns, exact: ScalarField) -> CeaReport:
     rows = []
     for level, n in enumerate(ns):
         mesh = mesh_factory(n)
-        ctx = MeshErrorContext(mesh, exact)
+        nodal = interpolant_values(mesh, exact)
         # relative to the field's size: rounding leaves about 1e-16 of it at
         # boundary vertices where it vanishes analytically
-        nodal = np.abs(ctx.nodal)
-        off = float(np.max(nodal[mesh.boundary], initial=0.0))
-        if off > 1e-12 * float(np.max(nodal)):
+        size = np.abs(nodal)
+        off = float(np.max(size[mesh.boundary], initial=0.0))
+        if off > 1e-12 * float(np.max(size)):
             raise InconsistentSpec(
                 f"{exact.name} is {off:.3e} at a boundary vertex of mesh n = {n}; "
                 "the study needs u = 0 on the boundary"
             )
         st = stats(mesh)
         sol = solve_poisson(mesh, f)
-        semi_err, norm_err = h1_error(mesh, sol.values, ctx)
-        interp_err, _ = interpolation_h1_error(mesh, ctx)
-        semi22 = hessian_seminorm(mesh, ctx)
+        l22, semi2, _, interp2, hess2 = _error_pass(mesh, exact, [sol.values, nodal], True)
+        semi_err, norm_err = _h1(l22, semi2)
+        semi22 = math.sqrt(hess2)
+        bound = st.max_R_K * semi22
         rows.append(
             CeaRow(
                 level=level,
@@ -261,11 +274,11 @@ def cea_study(mesh_factory, ns, exact: ScalarField) -> CeaReport:
                 max_R_K=st.max_R_K,
                 h_max=st.h_max,
                 max_angle=st.max_angle,
-                interp_h1=interp_err,
+                interp_h1=math.sqrt(interp2),
                 h1_seminorm_error=semi_err,
                 h1_norm_error=norm_err,
                 semi_22_exact=semi22,
-                quotient=norm_err / (st.max_R_K * semi22),
+                quotient=norm_err / bound if bound > 0.0 else 0.0,
                 cg_iterations=sol.report.iterations,
                 cg_residual=sol.report.relative_residual,
             )

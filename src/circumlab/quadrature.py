@@ -42,7 +42,8 @@ SUP_GRID = 64
 # the most points at which FieldAtRule takes a field's jet: on one triangle's
 # rule the jet saves most of the evaluators' per-call cost, while on a mesh's
 # millions of points the polynomial evaluators were faster than the jet, and
-# the jet would hold the Hessian before the first derivative is reduced
+# the jet would hold the Hessian before the first derivative is reduced; fem
+# streams a mesh in blocks of this many rule points, so each block takes one
 JET_MAX_POINTS = 8192
 
 

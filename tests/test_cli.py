@@ -208,6 +208,24 @@ class TestFemCommand:
         code, _ = run(capsys, "fem", "--field", "expxy", "--levels", "1", "--n0", "4")
         assert code == 2
 
+    def test_zero_exact_solution_gives_zero_quotient(self, capsys):
+        code, out = run(capsys, "fem", "--family", "uniform", "--levels", "2",
+                        "--n0", "1", "--field", "poly:0")
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert len(rows) == 2
+        for r in rows:
+            assert r["semi_22_exact"] == r["h1_norm_error"] == r["quotient"] == 0.0
+
+    def test_zero_exact_solution_svg_exit_2_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["fem", "--family", "uniform", "--levels", "2", "--n0", "1",
+                         "--field", "poly:0", "--svg", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("usage error: --svg")
+
     def test_singular_system_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.fem, "stiffness_matrix",
                             lambda mesh: scipy.sparse.csr_matrix((mesh.n_vertices,) * 2))

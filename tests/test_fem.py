@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,8 @@ import scipy.sparse.linalg
 from circumlab import geometry
 from circumlab.errors import InconsistentSpec, NoConvergence
 from circumlab.fem import (
-    MeshErrorContext,
+    ERROR_QUAD_DEGREE,
+    LOAD_QUAD_DEGREE,
     SparseSystem,
     assemble,
     cea_study,
@@ -27,7 +29,7 @@ from circumlab.fem import (
 from circumlab.fields import ScalarField, get_field, neg_laplacian, polynomial_field, scaled
 from circumlab.geometry import reference_triangle
 from circumlab.mesh import gen_crisscross_aniso, gen_uniform, single_triangle_mesh
-from circumlab.quadrature import make_rule
+from circumlab.quadrature import JET_MAX_POINTS, FieldAtRule, make_rule
 
 SINSIN = get_field("sinsin")
 # u = x(1-x) y(1-y) (1+x+2y), the generic bubble: unlike sinsin it is no
@@ -188,20 +190,103 @@ class TestErrors:
         assert got == pytest.approx(math.pi ** 2, rel=1e-10)
 
 
-class TestErrorContext:
-    def test_context_gives_the_field_values(self):
-        mesh = gen_crisscross_aniso(4, 1.5)
-        u = get_field("sinsin")
-        ctx = MeshErrorContext(mesh, u)
-        nodal = np.linspace(0.0, 1.0, mesh.n_vertices)
-        assert h1_error(mesh, nodal, ctx) == h1_error(mesh, nodal, u)
-        assert interpolation_h1_error(mesh, ctx) == interpolation_h1_error(mesh, u)
-        assert hessian_seminorm(mesh, ctx) == hessian_seminorm(mesh, u)
+def whole_mesh_sums(mesh, u, nodals):
+    """The error sums of one ``FieldAtRule`` over all elements of the mesh
+    at the error rule, each reduced by ``np.add.reduce``: (|u - u_h|_0^2,
+    |u - u_h|_1^2) per nodal vector, then |u|_2^2."""
+    whole = FieldAtRule(mesh.coords, u, make_rule(ERROR_QUAD_DEGREE), mesh.geometry)
+    parts = [e for v in nodals for e in whole.error_power(v[mesh.triangles], 2.0)]
+    parts.append(whole.hessian_power(2.0))
+    return [float(np.add.reduce(e)) for e in parts]
 
-    def test_context_of_another_mesh_rejected(self):
-        ctx = MeshErrorContext(gen_uniform(2), SINSIN)
-        with pytest.raises(InconsistentSpec):
-            hessian_seminorm(gen_uniform(2), ctx)
+
+class TestStreamedPasses:
+    """The error functionals and the load vector run over blocks of at most
+    ``JET_MAX_POINTS`` rule points and equal the whole-mesh reductions byte
+    for byte.  Crisscross n = 12 has 2016 elements: three full blocks of
+    512 and one of 480 on the 16-point error rule, two of 910 and one of
+    196 on the 9-point load rule."""
+
+    MESH = gen_crisscross_aniso(12, 1.5)
+    FIELDS = [SINSIN, BUBBLE, scaled(SINSIN, 3.0)]  # the last one has no jet
+    IDS = ["sinsin", "bubble", "scaled"]
+
+    def test_mesh_spans_several_blocks(self):
+        per_block = JET_MAX_POINTS // len(make_rule(ERROR_QUAD_DEGREE).weights)
+        assert self.MESH.n_triangles == 2016 and per_block == 512
+        assert self.FIELDS[2].jet is None
+
+    @pytest.mark.parametrize("u", FIELDS, ids=IDS)
+    def test_functionals_equal_whole_mesh_reduction(self, u):
+        mesh = self.MESH
+        nodal = interpolant_values(mesh, u)
+        other = np.linspace(-1.0, 1.0, mesh.n_vertices)
+        l22, semi2, o_l22, o_semi2, semi22 = whole_mesh_sums(mesh, u, [nodal, other])
+        assert interpolation_h1_error(mesh, u) == (math.sqrt(semi2), math.sqrt(semi2 + l22))
+        assert h1_error(mesh, other, u) == (math.sqrt(o_semi2), math.sqrt(o_semi2 + o_l22))
+        assert hessian_seminorm(mesh, u) == math.sqrt(semi22)
+
+    @pytest.mark.parametrize("u", FIELDS, ids=IDS)
+    def test_study_row_equals_whole_mesh_reduction(self, u):
+        mesh = self.MESH
+        (row,) = cea_study(lambda n: mesh, [12], u).rows
+        sol = solve_poisson(mesh, neg_laplacian(u))
+        l22, semi2, _, i_semi2, semi22 = whole_mesh_sums(
+            mesh, u, [sol.values, interpolant_values(mesh, u)])
+        assert row.h1_seminorm_error == math.sqrt(semi2)
+        assert row.h1_norm_error == math.sqrt(semi2 + l22)
+        assert row.interp_h1 == math.sqrt(i_semi2)
+        assert row.semi_22_exact == math.sqrt(semi22)
+
+    @pytest.mark.parametrize("u", FIELDS, ids=IDS)
+    def test_load_vector_equals_whole_mesh_reduction(self, u):
+        mesh = self.MESH
+        rule = make_rule(LOAD_QUAD_DEGREE)
+        whole = FieldAtRule(mesh.coords, u, rule, mesh.geometry)
+        contrib = ((whole.points[2] * whole.value)[:, :, None] * rule.points[:, None, :]).sum(axis=0)
+        want = np.zeros(mesh.n_vertices)
+        np.add.at(want, mesh.triangles.ravel(), contrib.ravel())
+        assert load_vector(mesh, u).tobytes() == want.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """No pass holds a (rule points x elements) array: on crisscross n = 32
+    (23 296 elements) one such array on the error rule is 3.0 MB, and the
+    whole-mesh passes peaked at 33.8 MB (error functionals) and 13.6 MB
+    (load vector)."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        mesh = gen_crisscross_aniso(32, 1.5)
+        assert mesh.n_triangles == 23296
+        # the mesh's cached arrays and the rules' and evaluators' caches
+        # are built before tracing
+        mesh.coords, mesh.geometry
+        small = gen_uniform(2)
+        interpolation_h1_error(small, BUBBLE), hessian_seminorm(small, BUBBLE)
+        load_vector(small, BUBBLE)
+        return mesh
+
+    def test_error_functionals_peak(self, mesh):
+        def run():
+            h1_error(mesh, np.zeros(mesh.n_vertices), BUBBLE)
+            interpolation_h1_error(mesh, BUBBLE)
+            hessian_seminorm(mesh, BUBBLE)
+
+        assert traced_peak(run) < 8e6
+
+    def test_load_vector_peak(self, mesh):
+        assert traced_peak(lambda: load_vector(mesh, BUBBLE)) < 4e6
 
 
 class TestCeaStudy:
@@ -214,19 +299,25 @@ class TestCeaStudy:
                 return fn(x, y)
             return wrapper
 
+        # a copy with other evaluators has no jet, so every evaluator is called
         u = dataclasses.replace(
             BUBBLE, **{k: counting(k, getattr(BUBBLE, k)) for k in ("value", "grad", "hess")})
-        ns = [2, 4]
+        ns = [2, 12]  # n = 12: several blocks on both rules
         cea_study(lambda n: gen_crisscross_aniso(n, 1.5), ns, u)
-        want = []
+        want = Counter()
         for n in ns:
             m = gen_crisscross_aniso(n, 1.5)
             at_rule = 16 * m.n_triangles  # the degree-6 error rule
             # vertex values, then the load vector's -lap(u) on the 9-point
             # degree-4 rule, then value, gradient and Hessian at the error rule
-            want += [("value", m.n_vertices), ("hess", 9 * m.n_triangles),
-                     ("grad", at_rule), ("value", at_rule), ("hess", at_rule)]
-        assert Counter(calls) == Counter(want)
+            want["value"] += m.n_vertices + at_rule
+            want["hess"] += 9 * m.n_triangles + at_rule
+            want["grad"] += at_rule
+        got = Counter()
+        for kind, size in calls:
+            got[kind] += size
+        assert got == want
+        assert max(size for _, size in calls) <= JET_MAX_POINTS
 
     def test_element_geometry_once_per_row(self, monkeypatch):
         calls = record_calls(monkeypatch, geometry.element_geometry)
