@@ -87,7 +87,7 @@ def element_geometry(p):
     x, y = p[..., 0], p[..., 1]
     areas = signed_area(p)
     flat = np.ravel(areas)
-    bad = flat <= 0.0
+    bad = ~(flat > 0.0)  # NaN areas too
     if bad.any():
         k = int(np.argmax(bad))
         raise DegenerateTriangle(f"element {k} has non-positive area {flat[k]:.3e}")

@@ -12,8 +12,10 @@ are its ``dataclasses.asdict``.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,7 +63,7 @@ class Mesh:
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``element_geometry`` of ``coords``: signed areas (nt,) and hat
         gradients gx, gy (nt, 3), read-only.  Raises DegenerateTriangle on
-        the first element with a non-positive area."""
+        the first element whose area is not positive (or is NaN)."""
         return tuple(map(read_only, element_geometry(self.coords)))
 
 
@@ -76,16 +78,16 @@ class MeshStats:
     min_rho_over_h: float
 
 
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the (n, m) integer array ``keys`` sorted stably into groups
-    of equal rows: (order, rank), where order[q] is the row at sorted
-    position q and rank[q] how many equal rows come before it in row
-    order."""
-    order = np.lexsort(keys.T[::-1])
-    s = keys[order]
-    first = np.ones(len(s), dtype=bool)
-    first[1:] = np.any(s[1:] != s[:-1], axis=1)
-    pos = np.arange(len(s))
+def _groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the 1-D integer ``keys`` (the last the primary key, as
+    for ``np.lexsort``) sorted stably into groups of equal keys:
+    (order, rank), where order[q] is the entry at sorted position q and
+    rank[q] how many equal entries come before it in index order."""
+    order = np.lexsort(keys)
+    ranked = [k[order] for k in keys]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.logical_or.reduce([s[1:] != s[:-1] for s in ranked])
+    pos = np.arange(len(order))
     return order, pos - np.maximum.accumulate(np.where(first, pos, 0))
 
 
@@ -100,35 +102,41 @@ def validate(mesh: Mesh) -> None:
     first met when the elements are taken in index order, each checked for
     duplication before its edges (i, j), (j, l), (l, i)."""
     t = mesh.triangles
-    if t.size and (int(t.min()) < 0 or int(t.max()) >= mesh.n_vertices):
+    nv = mesh.n_vertices
+    if t.size and (int(t.min()) < 0 or int(t.max()) >= nv):
         raise NonConforming("triangle references a missing vertex")
     mesh.geometry  # raises on the first non-positive element
 
     nt = len(t)
-    order, rank = _groups(np.sort(t, axis=1))
+    # keys below nv**2, which cannot overflow int64 for any mesh in memory
+    s = np.sort(t, axis=1)
+    order, rank = _groups(s[:, 2], s[:, 0] * nv + s[:, 1])
     dup = np.flatnonzero(rank > 0)  # sorted positions of repeated elements
     k_dup = int(order[dup].min()) if len(dup) else nt
-    # edge 3k + m is edge m of element k, stored as (min, max)
-    edges = np.sort(t[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
-    e_order, e_rank = _groups(edges)
+    # edge 3k + m is edge m of element k, from lo to hi
+    nxt = t[:, [1, 2, 0]]
+    lo, hi = np.minimum(t, nxt).ravel(), np.maximum(t, nxt).ravel()
+    e_order, e_rank = _groups(lo * nv + hi)
     third = e_order[e_rank == 2]
     q = int(third.min()) if len(third) else 3 * nt
     if k_dup < nt and k_dup <= q // 3:
         at = dup[np.argmin(order[dup])]
         first = int(order[at - rank[at]])
-        key = tuple(int(v) for v in np.sort(t[k_dup]))
+        key = tuple(int(v) for v in s[k_dup])
         raise NonConforming(
             f"elements {first} and {k_dup} are the same triangle {key}"
         )
     if q < 3 * nt:
-        e = tuple(int(v) for v in edges[q])
+        e = (int(lo[q]), int(hi[q]))
         raise NonConforming(f"edge {e} shared by more than two triangles")
 
     # an edge whose group has one member (rank 0, and no rank 1 after it)
-    single = np.ones(len(edges), dtype=bool)
+    single = np.ones(len(lo), dtype=bool)
     single[:-1] = e_rank[1:] == 0
-    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    on_boundary[edges[e_order[(e_rank == 0) & single]].ravel()] = True
+    edges = e_order[(e_rank == 0) & single]
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[lo[edges]] = True
+    on_boundary[hi[edges]] = True
     if not np.array_equal(on_boundary, mesh.boundary):
         k = int(np.argmax(on_boundary != mesh.boundary))
         raise NonConforming(
@@ -141,7 +149,10 @@ def stats(mesh: Mesh) -> MeshStats:
     """Per-element ``shape_quantities`` folded with order-independent
     max/min.  Raises DegenerateTriangle on the first element of
     non-positive area, then on the first that the geometry's degeneracy
-    test rejects (area below the floor, or outside the float64 range)."""
+    test rejects (area below the floor, or outside the float64 range).
+    Raises NonConforming on a mesh with no triangles."""
+    if not mesh.n_triangles:
+        raise NonConforming("mesh has no triangles")
     s = mesh.geometry[0]
     with np.errstate(over="ignore"):  # an overflow is rejected below
         a, b, c = edge_lengths(mesh.coords)
@@ -173,9 +184,9 @@ def _canonical_order(vertices, boundary, triangles):
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     tris = rank[np.asarray(triangles, dtype=np.int64)]
-    roll = np.argmin(tris, axis=1)
-    tris = np.stack([tris[np.arange(len(tris)), (roll + k) % 3] for k in range(3)], axis=1)
-    tris = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
+    roll = np.argmin(tris, axis=1)[:, None]
+    tris = np.take_along_axis(tris, (roll + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort((tris[:, 2], tris[:, 0] * len(vertices) + tris[:, 1]))]
     return vertices[order], np.asarray(boundary, bool)[order], tris
 
 
@@ -301,12 +312,12 @@ def single_triangle_mesh(tri: Triangle) -> Mesh:
 
 def write_mesh(mesh: Mesh) -> str:
     """Serialize to the line-based text format (17 significant digits)."""
-    lines = [f"vertices {mesh.n_vertices}"]
-    lines += map("{:.17g} {:.17g} {:d}".format, mesh.vertices[:, 0].tolist(),
-                 mesh.vertices[:, 1].tolist(), mesh.boundary.astype(int).tolist())
-    lines.append(f"triangles {mesh.n_triangles}")
-    lines += map("{} {} {}".format, *mesh.triangles.T.tolist())
-    return "\n".join(lines) + "\n"
+    # the flags become 0.0 and 1.0, which %d writes as 0 and 1
+    rows = np.column_stack([mesh.vertices, mesh.boundary]).ravel().tolist()
+    return (f"vertices {mesh.n_vertices}\n"
+            + "%.17g %.17g %d\n" * mesh.n_vertices % tuple(rows)
+            + f"triangles {mesh.n_triangles}\n"
+            + "%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
 
 
 def _vertex_line(ln: int, body: str) -> tuple[float, float, int]:
@@ -319,6 +330,8 @@ def _vertex_line(ln: int, body: str) -> tuple[float, float, int]:
         raise ParseError(ln, f"bad vertex entry {body!r}") from None
     if flag not in (0, 1):
         raise ParseError(ln, f"flag must be 0 or 1, got {parts[2]!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParseError(ln, f"non-finite coordinate in {body!r}")
     return x, y, flag
 
 
@@ -338,42 +351,65 @@ def _triangle_line(nv: int):
     return parse
 
 
-def _columns(bodies: list[str], dtypes, accept) -> list[np.ndarray]:
-    """The three whitespace-separated columns of the lines ``bodies``,
-    converted by numpy, which parses strings as float() and int() do.
+def _columns(block: str, count: int, dtype: str) -> list[np.ndarray] | None:
+    """The three whitespace-separated columns of the ``count`` lines of
+    ``block``, converted by one ``np.loadtxt`` call to the fields of
+    ``dtype``; None unless loadtxt takes every line, with three entries,
+    and finds ``count`` lines that are not blank.
 
-    Raises ValueError unless every line has three entries, each converts
-    and ``accept`` holds for the columns; the caller then parses line by
-    line to report the first fault.  Lines are joined around a ';' token,
-    which converts to no number, so the ';' tokens sit at every fourth
-    place exactly when each line holds three tokens."""
-    if not bodies:
-        return [np.zeros(0, dtype=d) for d in dtypes]
-    toks = " ; ".join(bodies).split()
-    if len(toks) != 4 * len(bodies) - 1 or toks[3::4].count(";") != len(bodies) - 1:
-        raise ValueError("not three entries per line")
-    del toks[3::4]
-    cols = [np.array(toks[c::3], dtype=d) for c, d in enumerate(dtypes)]
-    if not accept(*cols):
-        raise ValueError("entry out of range")
-    return cols
+    loadtxt takes a subset of what float() and int() take, with the same
+    values: it refuses underscores and non-ASCII digits.  Such text, and
+    any that makes loadtxt warn (some numpy releases take '1.0' as an
+    integer with a DeprecationWarning), is left to the line parser."""
+    if not block:  # loadtxt warns on empty input
+        return [np.zeros(0, dtype=d) for d in dtype.split(",")] if count == 0 else None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(io.StringIO(block), dtype=dtype, comments=None,
+                              ndmin=1, unpack=True)
+    except (ValueError, Warning):
+        return None
+    return cols if len(cols[0]) == count else None
+
+
+def _vertex_columns(block: str, count: int) -> list[np.ndarray] | None:
+    """x, y and flag columns of the vertex lines ``block`` by ``_columns``;
+    None also if a coordinate is not finite or a flag not 0 or 1."""
+    cols = _columns(block, count, "f8,f8,i8")
+    if (cols is not None and np.isfinite(cols[0]).all() and np.isfinite(cols[1]).all()
+            and ((cols[2] == 0) | (cols[2] == 1)).all()):
+        return cols
+    return None
+
+
+def _triangle_columns(nv: int):
+    def columns(block: str, count: int) -> list[np.ndarray] | None:
+        """Index columns of the triangle lines ``block`` by ``_columns``;
+        None also if an index is outside [0, nv)."""
+        cols = _columns(block, count, "i8,i8,i8")
+        if cols is not None and all(((c >= 0) & (c < nv)).all() for c in cols):
+            return cols
+        return None
+
+    return columns
 
 
 def _section(lns, bodies, start: int, count: int, what: str, parse_line,
-             dtypes, accept) -> list[np.ndarray]:
-    """Columns of the ``count`` content lines from ``start``, by
-    ``_columns``; on a fault, ``parse_line`` on each line in turn raises the
-    first ParseError, and a short section ends in an end-of-file error."""
+             bulk) -> list[np.ndarray]:
+    """Columns of the ``count`` content lines from ``start``, by ``bulk``.
+    When it refuses them, ``parse_line`` on each line in turn raises the
+    first ParseError, a short section ends in an end-of-file error, and
+    lines that all parse give their values."""
     lines = bodies[start:start + count]
     if len(lines) == count:
-        try:
-            return _columns(lines, dtypes, accept)
-        except (ValueError, OverflowError):
-            pass
+        cols = bulk("\n".join(lines), count)
+        if cols is not None:
+            return cols
     rows = [parse_line(ln, b) for ln, b in zip(lns[start:start + count], lines)]
     if len(rows) < count:
         raise ParseError(lns[-1] + 1, f"unexpected end of file, wanted {what}")
-    return [np.array(col, dtype=d) for col, d in zip(zip(*rows), dtypes)]
+    return [np.array(col) for col in zip(*rows)]
 
 
 def _count_line(lns, bodies, pos: int, header: str, noun: str) -> int:
@@ -395,9 +431,10 @@ def _count_line(lns, bodies, pos: int, header: str, noun: str) -> int:
     return count
 
 
-def read_mesh(text: str) -> Mesh:
-    """Parse the text format; validates conformity, reorients clockwise
-    triangles (noted in mesh.warnings).  Errors name the 1-based line."""
+def _line_sections(text: str):
+    """Vertex columns, triangle columns and the 1-based line of each
+    triangle, by lines: comments and blank lines dropped, each section by
+    ``_section``.  The only parser that raises ParseError."""
     raw = text.splitlines()
     if "#" in text:
         raw = [line.split("#", 1)[0] for line in raw]
@@ -408,23 +445,60 @@ def read_mesh(text: str) -> Mesh:
         bodies = list(itertools.compress(bodies, nonempty))
 
     nv = _count_line(lns, bodies, 0, "vertices N", "vertex")
-    x, y, flags = _section(lns, bodies, 1, nv, "a vertex line 'x y flag'",
-                           _vertex_line, (float, float, np.int64),
-                           lambda x, y, f: ((f == 0) | (f == 1)).all())
+    verts = _section(lns, bodies, 1, nv, "a vertex line 'x y flag'",
+                     _vertex_line, _vertex_columns)
     nt = _count_line(lns, bodies, 1 + nv, "triangles M", "triangle")
-    tris = np.column_stack(_section(
-        lns, bodies, 2 + nv, nt, "a triangle line 'i j k'", _triangle_line(nv),
-        (np.int64,) * 3,
-        lambda *cols: all(((c >= 0) & (c < nv)).all() for c in cols))).reshape(nt, 3)
+    tris = _section(lns, bodies, 2 + nv, nt, "a triangle line 'i j k'",
+                    _triangle_line(nv), _triangle_columns(nv))
     pos = 2 + nv + nt
     if pos != len(bodies):
         raise ParseError(lns[pos], "trailing content after triangle list")
+    return verts, tris, lns[2 + nv:]
 
-    verts = np.column_stack([x, y]).reshape(nv, 2)
+
+def _plain_count(head: str, word: str) -> int | None:
+    """N of a header line that is exactly '<word> N', N in ASCII digits."""
+    name, _, count = head.partition(" ")
+    return int(count) if name == word and count.isdigit() else None
+
+
+def _plain_sections(text: str):
+    """``_line_sections`` of text laid out as ``write_mesh`` writes it, a
+    section at a time: ASCII, no comment, no line break but '\\n', no blank
+    line, and headers exactly 'vertices N' and 'triangles M'.  None for
+    any other text, and whenever a section's columns are refused."""
+    if not text.isascii() or any(c in text for c in "#\r\x0b\x0c\x1c\x1d\x1e"):
+        return None
+    a = text.find("\n")  # ends 'vertices N'
+    b = text.find("\ntriangles ", a)  # ends the vertex lines
+    c = text.find("\n", b + 1)  # ends 'triangles M'
+    if min(a, b, c) < 0:
+        return None
+    nv, nt = _plain_count(text[:a], "vertices"), _plain_count(text[b + 1:c], "triangles")
+    vertex_lines, triangle_lines = text[a + 1:b + 1], text[c + 1:]
+    if (nv is None or nt is None or vertex_lines.count("\n") != nv
+            or triangle_lines.count("\n") != nt):
+        return None
+    verts = _vertex_columns(vertex_lines, nv)
+    tris = _triangle_columns(nv)(triangle_lines, nt)
+    if verts is None or tris is None:
+        return None
+    return verts, tris, range(nv + 3, nv + 3 + nt)
+
+
+def read_mesh(text: str) -> Mesh:
+    """Parse the text format; validates conformity, reorients clockwise
+    triangles (noted in mesh.warnings).  Errors name the 1-based line.
+
+    Text as ``write_mesh`` lays it out is read a section at a time; any
+    other text, and any fault, goes to the line parser, which reports the
+    first fault."""
+    (x, y, flags), tris, tri_lines = _plain_sections(text) or _line_sections(text)
+    verts = np.column_stack([x, y])
+    tris = np.column_stack(tris)
     clockwise = np.flatnonzero(signed_area(verts[tris]) < 0.0)
     tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
-    tri_lines = lns[2 + nv:]
-    warnings = [f"line {tri_lines[k]}: clockwise triangle reoriented" for k in clockwise]
-    mesh = Mesh(verts, flags == 1, tris, warnings=warnings)
+    notes = [f"line {tri_lines[k]}: clockwise triangle reoriented" for k in clockwise]
+    mesh = Mesh(verts, flags == 1, tris, warnings=notes)
     validate(mesh)
     return mesh

@@ -3,12 +3,14 @@
 Everything here is deliberately slow and simple: exact rational monomial
 integrals over an arbitrary triangle via affine pullback and the factorial
 formula, the quotient estimates on a raw monomial basis, exactly reduced
-and solved at 50 digits, and the element-by-element loop that mesh
-validation was first written as.  These never share code with the library
+and solved at 50 digits, the element-by-element loop that mesh
+validation was first written as, and the mesh file parser that went line
+by line and token by token.  These never share code with the library
 paths they check.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +18,9 @@ import mpmath
 import numpy as np
 import sympy
 
-from circumlab.errors import DegenerateTriangle, NonConforming
+from circumlab.errors import DegenerateTriangle, NonConforming, ParseError
+from circumlab.geometry import signed_area
+from circumlab.mesh import Mesh
 
 FACT = [math.factorial(k) for k in range(80)]
 
@@ -235,7 +239,7 @@ def validate_loop(mesh) -> None:
     areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                    - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
     for k, area in enumerate(areas):
-        if area <= 0.0:
+        if not area > 0.0:
             raise DegenerateTriangle(f"element {k} has non-positive area {area:.3e}")
     seen: dict[tuple[int, int, int], int] = {}
     edge_use: dict[tuple[int, int], int] = {}
@@ -260,3 +264,127 @@ def validate_loop(mesh) -> None:
             f"vertex {k} boundary flag {bool(mesh.boundary[k])} disagrees with "
             f"edge usage {bool(on_boundary[k])}"
         )
+
+
+def _vertex_line(ln: int, body: str) -> tuple[float, float, int]:
+    parts = body.split()
+    if len(parts) != 3:
+        raise ParseError(ln, f"expected 'x y flag', got {body!r}")
+    try:
+        x, y, flag = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(ln, f"bad vertex entry {body!r}") from None
+    if flag not in (0, 1):
+        raise ParseError(ln, f"flag must be 0 or 1, got {parts[2]!r}")
+    return x, y, flag
+
+
+def _triangle_line(nv: int):
+    def parse(ln: int, body: str) -> tuple[int, int, int]:
+        parts = body.split()
+        if len(parts) != 3:
+            raise ParseError(ln, f"expected 'i j k', got {body!r}")
+        try:
+            idx = tuple(int(p) for p in parts)
+        except ValueError:
+            raise ParseError(ln, f"bad triangle entry {body!r}") from None
+        if min(idx) < 0 or max(idx) >= nv:
+            raise ParseError(ln, f"vertex index out of range in {body!r}")
+        return idx
+
+    return parse
+
+
+def _columns(bodies: list[str], dtypes, accept) -> list[np.ndarray]:
+    """The three whitespace-separated columns of the lines ``bodies``,
+    converted by numpy, which parses strings as float() and int() do.
+
+    Raises ValueError unless every line has three entries, each converts
+    and ``accept`` holds for the columns; the caller then parses line by
+    line to report the first fault.  Lines are joined around a ';' token,
+    which converts to no number, so the ';' tokens sit at every fourth
+    place exactly when each line holds three tokens."""
+    if not bodies:
+        return [np.zeros(0, dtype=d) for d in dtypes]
+    toks = " ; ".join(bodies).split()
+    if len(toks) != 4 * len(bodies) - 1 or toks[3::4].count(";") != len(bodies) - 1:
+        raise ValueError("not three entries per line")
+    del toks[3::4]
+    cols = [np.array(toks[c::3], dtype=d) for c, d in enumerate(dtypes)]
+    if not accept(*cols):
+        raise ValueError("entry out of range")
+    return cols
+
+
+def _section(lns, bodies, start: int, count: int, what: str, parse_line,
+             dtypes, accept) -> list[np.ndarray]:
+    """Columns of the ``count`` content lines from ``start``, by
+    ``_columns``; on a fault, ``parse_line`` on each line in turn raises the
+    first ParseError, and a short section ends in an end-of-file error."""
+    lines = bodies[start:start + count]
+    if len(lines) == count:
+        try:
+            return _columns(lines, dtypes, accept)
+        except (ValueError, OverflowError):
+            pass
+    rows = [parse_line(ln, b) for ln, b in zip(lns[start:start + count], lines)]
+    if len(rows) < count:
+        raise ParseError(lns[-1] + 1, f"unexpected end of file, wanted {what}")
+    return [np.array(col, dtype=d) for col, d in zip(zip(*rows), dtypes)]
+
+
+def _count_line(lns, bodies, pos: int, header: str, noun: str) -> int:
+    """The count of the header line ('vertices N' or 'triangles M') at
+    content line ``pos``."""
+    if pos >= len(bodies):
+        last = lns[-1] if lns else 0
+        raise ParseError(last + 1, f"unexpected end of file, wanted '{header}'")
+    ln, head = lns[pos], bodies[pos]
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != header.split()[0]:
+        raise ParseError(ln, f"expected '{header}', got {head!r}")
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise ParseError(ln, f"bad {noun} count {parts[1]!r}") from None
+    if count < 0:
+        raise ParseError(ln, f"bad {noun} count {parts[1]!r}")
+    return count
+
+
+def read_mesh_lines(text: str) -> Mesh:
+    """The mesh file parser as it was before it read whole sections with
+    ``np.loadtxt``: lines split, stripped and numbered one by one, tokens
+    converted by numpy, and ``_vertex_line`` and ``_triangle_line`` on a
+    fault.  It validates with ``validate_loop``; ``circumlab.mesh.read_mesh``
+    must return the same mesh and warnings, or raise the same error."""
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.split("#", 1)[0] for line in raw]
+    bodies = [line.strip() for line in raw]
+    nonempty = list(map(bool, bodies))
+    lns = (np.flatnonzero(nonempty) + 1).tolist()  # line of each content line
+    if len(lns) < len(bodies):
+        bodies = list(itertools.compress(bodies, nonempty))
+
+    nv = _count_line(lns, bodies, 0, "vertices N", "vertex")
+    x, y, flags = _section(lns, bodies, 1, nv, "a vertex line 'x y flag'",
+                           _vertex_line, (float, float, np.int64),
+                           lambda x, y, f: ((f == 0) | (f == 1)).all())
+    nt = _count_line(lns, bodies, 1 + nv, "triangles M", "triangle")
+    tris = np.column_stack(_section(
+        lns, bodies, 2 + nv, nt, "a triangle line 'i j k'", _triangle_line(nv),
+        (np.int64,) * 3,
+        lambda *cols: all(((c >= 0) & (c < nv)).all() for c in cols))).reshape(nt, 3)
+    pos = 2 + nv + nt
+    if pos != len(bodies):
+        raise ParseError(lns[pos], "trailing content after triangle list")
+
+    verts = np.column_stack([x, y]).reshape(nv, 2)
+    clockwise = np.flatnonzero(signed_area(verts[tris]) < 0.0)
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    tri_lines = lns[2 + nv:]
+    warnings = [f"line {tri_lines[k]}: clockwise triangle reoriented" for k in clockwise]
+    mesh = Mesh(verts, flags == 1, tris, warnings=warnings)
+    validate_loop(mesh)
+    return mesh

@@ -176,6 +176,20 @@ class TestMeshCommand:
         code, _ = run(capsys, "mesh", "--check", str(tmp_path))  # a directory
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("vertices 0\ntriangles 0\n", "mesh has no triangles"),
+        ("vertices 3\n0 0 1\n1 0 1\nnan 1 1\ntriangles 1\n0 1 2\n",
+         "line 4: non-finite coordinate"),
+    ], ids=["empty", "nan"])
+    def test_unusable_file_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code = cli.main(["mesh", "--check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_bad_family_exit_2(self, capsys):
         code, _ = run(capsys, "mesh", "--family", "hexes")
         assert code == 2

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from circumlab.mesh import (
     validate,
     write_mesh,
 )
-from oracles import validate_loop
+from oracles import read_mesh_lines, validate_loop
 
 
 class TestMeshObject:
@@ -184,6 +186,19 @@ class TestStats:
         with pytest.raises(DegenerateTriangle, match="element 0 .* float64 range"):
             stats(scaled)
 
+    @pytest.mark.parametrize("text", [
+        "vertices 0\ntriangles 0\n",
+        "vertices 0\ntriangles 0\n \t",  # np.loadtxt warns on blank input
+        "vertices 3\n0 0 0\n1 0 0\n0 1 0\ntriangles 0\n",
+    ])
+    def test_mesh_without_triangles_nonconforming(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = read_mesh(text)
+        assert caught == []
+        with pytest.raises(NonConforming, match="mesh has no triangles"):
+            stats(m)
+
     def test_invariant_max_r_at_least_half_h(self):
         for m in (gen_uniform(3), gen_crisscross_aniso(3, 1.5), gen_lens(4)):
             s = stats(m)
@@ -249,6 +264,14 @@ class TestTextFormat:
             read_mesh("vertices 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 9\n")
         with pytest.raises(ParseError):
             read_mesh("vertices 3\n0 0 1\n1 0 1\n")  # truncated
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400", "-NaN"])
+    @pytest.mark.parametrize("comment", ["", "  # a comment"])
+    def test_non_finite_coordinate_is_a_parse_error(self, entry, comment):
+        # the comment sends the text to the line parser from the start
+        text = f"vertices 3\n0 0 1\n1 0 1{comment}\n{entry} 1 1\ntriangles 1\n0 1 2\n"
+        with pytest.raises(ParseError, match=f"line 4: non-finite coordinate in '{entry} 1 1'"):
+            read_mesh(text)
 
     def test_boundary_flag_mismatch(self):
         text = "vertices 3\n0 0 1\n1 0 1\n0 1 0\ntriangles 1\n0 1 2\n"
@@ -358,6 +381,14 @@ class TestValidate:
             with pytest.raises(DegenerateTriangle, match=f"element {i} has non-positive"):
                 check(Mesh(m.vertices, m.boundary, t))
 
+    def test_nan_area_rejected(self):
+        m = gen_uniform(1)
+        v = m.vertices.copy()
+        v[np.setdiff1d(m.triangles[1], m.triangles[0]), 0] = np.nan
+        for check in (validate, stats):
+            with pytest.raises(DegenerateTriangle, match="element 1 has non-positive area nan"):
+                check(Mesh(v, m.boundary, m.triangles))
+
     def test_first_offending_element_reported(self):
         m = gen_uniform(2)
         t = m.triangles
@@ -436,3 +467,107 @@ def test_written_files_pinned(make, digest):
     """SHA-256 of write_mesh output, taken from the element-loop generators
     and writer that the index-arithmetic ones replaced."""
     assert hashlib.sha256(write_mesh(make()).encode()).hexdigest() == digest
+
+
+def test_hand_built_file_pinned():
+    """Signed zeros, subnormals, extreme exponents, 17-digit round trips and
+    indices past 10**6 (write_mesh does not validate), pinned from the
+    writer that formatted one line at a time."""
+    m = Mesh(np.array([[-0.0, 5e-324], [1e-300, 0.1], [1e300, -1e300],
+                       [-5e-324, 0.30000000000000004]]),
+             np.array([True, False, True, False]),
+             np.array([[0, 1, 2], [1000001, 2 ** 40, 3], [2 ** 63 - 1, 7, 10 ** 6 + 1]]))
+    digest = "9681be1ecb6090e79b806e488f558a2896d84a81c56c6ab32eb546bb4afd0e01"
+    assert hashlib.sha256(write_mesh(m).encode()).hexdigest() == digest
+
+
+# every line break str.splitlines knows besides "\n"
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_EDITS = ["comment", "inline_comment", "blank", "break", "split", "tab", "pad", "plus",
+          "underscore", "digit", "drop_token", "extra_token", "flag", "index",
+          "clockwise", "trailing", "truncate"]
+
+
+def _edit(text, edits):
+    """``text`` with edits (kind, i, j) applied: line i (mod the line count)
+    and choice j of each kind.  Token edits re-join the line with spaces."""
+    lines = text.split("\n")[:-1]
+    ends = ["\n"] * len(lines)
+    tail, cut = "", None
+    for kind, i, j in edits:
+        k = i % len(lines)
+        toks = lines[k].split()
+        t = j % max(len(toks), 1)
+        if kind == "comment":
+            lines.insert(k, "# note")
+            ends.insert(k, "\n")
+        elif kind == "inline_comment":
+            lines[k] += ("# x", " # 0 1 2", "\t#")[j % 3]
+        elif kind == "blank":
+            lines.insert(k, ("", "   ", "\t", "\x1f")[j % 4])
+            ends.insert(k, "\n")
+        elif kind == "break":
+            ends[k] = _BREAKS[j % len(_BREAKS)]
+        elif kind == "split":
+            lines[k] = lines[k].replace(" ", _BREAKS[j % len(_BREAKS)], 1)
+        elif kind == "tab":
+            lines[k] = lines[k].replace(" ", ("\t", "  ", " \t ")[j % 3], 1)
+        elif kind == "pad":
+            lines[k] = " " * (1 + j % 3) + lines[k] + ("", " ", "\t ")[j % 3]
+        elif kind == "underscore" and toks:
+            toks[t] = re.sub(r"(\d)(\d)", r"\1_\2", toks[t], count=1)
+        elif kind == "digit" and toks:
+            zero = (0x660, 0xFF10, 0x966)[j % 3]  # Arabic-Indic, fullwidth, Devanagari
+            toks[t] = re.sub(r"\d", lambda d: chr(zero + int(d.group())), toks[t], count=1)
+        elif kind == "plus" and toks and toks[t][0] not in "+-":
+            toks[t] = "+" + toks[t]
+        elif kind == "drop_token" and toks:
+            del toks[t]
+        elif kind == "extra_token":
+            toks.append("0")
+        elif kind == "flag" and toks:
+            toks[-1] = ("2", "1.0", "-1", "01", "0x1")[j % 5]
+        elif kind == "index" and toks:
+            toks[t] = ("-1", "1.0", "1e0", str(10 ** 6), str(2 ** 64))[j % 5]
+        elif kind == "clockwise" and len(toks) == 3:
+            toks[1], toks[2] = toks[2], toks[1]
+        elif kind == "trailing":
+            tail += ("0 1 2\n", "junk\n", "\n", "  \n", "# end\n")[j % 5]
+        elif kind == "truncate":
+            cut = i
+        if kind in ("underscore", "digit", "plus", "drop_token", "extra_token",
+                    "flag", "index", "clockwise"):
+            lines[k] = " ".join(toks)
+    out = "".join(line + end for line, end in zip(lines, ends)) + tail
+    return out if cut is None else out[:cut % (len(out) + 1)]
+
+
+def _read_outcome(read, text):
+    try:
+        m = read(text)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return m.vertices.tobytes(), m.boundary.tobytes(), m.triangles.tobytes(), m.warnings
+
+
+class TestReadEquivalence:
+    @pytest.mark.parametrize("brk", _BREAKS)
+    @pytest.mark.parametrize("line", [2, 7])  # a vertex line, a triangle line
+    def test_line_break_inside_a_line(self, brk, line):
+        # np.loadtxt reads most of these as spaces, str.splitlines as line ends
+        lines = write_mesh(gen_uniform(1)).split("\n")
+        lines[line - 1] = lines[line - 1].replace(" ", brk, 1)
+        text = "\n".join(lines)
+        want = _read_outcome(read_mesh_lines, text)
+        assert want[0] is ParseError and want[1].startswith(f"line {line}:")
+        assert _read_outcome(read_mesh, text) == want
+
+    @settings(max_examples=600, deadline=None, database=None)
+    @given(_BASES, st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10 ** 6),
+                                      st.integers(0, 10 ** 6)), max_size=4))
+    def test_same_outcome_as_line_parser(self, mesh, edits):
+        text = _edit(write_mesh(mesh), edits)
+        want = _read_outcome(read_mesh_lines, text)
+        assert _read_outcome(read_mesh, text) == want
+        if not edits:
+            assert want[-1] == []
