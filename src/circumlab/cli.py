@@ -64,14 +64,19 @@ def _parse_vertex(token: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"vertex {token!r} is not 'x,y'")
     try:
-        return float(parts[0]), float(parts[1])
+        x, y = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"vertex {token!r} has non-numeric coordinates") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise UsageError(f"vertex {token!r} has a non-finite coordinate")
+    return x, y
 
 
 def _triangle_from_args(args) -> Triangle:
     if args.needle is not None:
         h, alpha = args.needle
+        if not (math.isfinite(h) and math.isfinite(alpha)):
+            raise UsageError(f"--needle {h} {alpha} is not finite")
         return needle_triangle(h, alpha)
     if len(args.vertices) != 3:
         raise UsageError("give three vertices 'x1,y1 x2,y2 x3,y3' or --needle H ALPHA")

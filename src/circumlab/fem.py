@@ -13,7 +13,7 @@ long as max_K R_K -> 0, regardless of the maximum angle.
 Every mesh-wide quadrature pass, the load vector's and the error
 functionals', runs over consecutive blocks of elements, each one
 ``FieldAtRule`` on the mesh's own coordinates and geometry with at most
-``JET_MAX_POINTS`` rule points, so a field with a jet gives value, gradient
+``BLOCK_POINTS`` rule points, so a field with a jet gives value, gradient
 and Hessian in one call per block and no array spans (rule points x
 elements).  ``_error_pass`` is the one error pass: per element the
 |u - u_h|_0^2 and |u - u_h|_1^2 of each nodal vector it is given and
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSpec, NoConvergence, SingularSystem
-from .fields import ScalarField, neg_laplacian
+from .fields import BLOCK_POINTS, ScalarField, neg_laplacian
 from .mesh import Mesh, stats
-from .quadrature import JET_MAX_POINTS, FieldAtRule, QuadratureRule, make_rule
+from .quadrature import FieldAtRule, QuadratureRule, make_rule
 
 LOAD_QUAD_DEGREE = 4
 ERROR_QUAD_DEGREE = 6
@@ -65,9 +65,9 @@ def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
 
 def _blocks(mesh: Mesh, field: ScalarField, rule: QuadratureRule):
     """(slice, ``FieldAtRule``) over consecutive blocks of the mesh's
-    elements, each with at most ``JET_MAX_POINTS`` points of ``rule``, on
+    elements, each with at most ``BLOCK_POINTS`` points of ``rule``, on
     the matching slices of ``mesh.coords`` and ``mesh.geometry``."""
-    size = JET_MAX_POINTS // len(rule.weights)
+    size = BLOCK_POINTS // len(rule.weights)
     for start in range(0, mesh.n_triangles, size):
         sl = slice(start, start + size)
         yield sl, FieldAtRule(mesh.coords[sl], field, rule, tuple(g[sl] for g in mesh.geometry))

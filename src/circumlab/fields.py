@@ -6,12 +6,14 @@ numpy arrays (or scalars) for x and y.  The registry serves fixed names
 families: "affine(cx,cy,c0)" and "poly:c00,c10,c01,c20,..." with
 coefficients in graded order (degree by degree, x-power decreasing).
 
-Polynomials, ``sinsin`` and ``expxy`` also carry a jet, one evaluator for
-value, gradient and Hessian at once that shares their work (the table of
-y-powers and the matrix product of a polynomial, each sin, cos or exp of
-the others) and returns the same bits as the three evaluators.  Every
-polynomial evaluation is one kernel, ``_polyval``, on a stack of power
-matrices.  This module imports nothing of the package but ``errors``.
+Polynomials, ``sinsin`` and ``expxy`` carry a jet, one evaluator for value,
+gradient and Hessian at once, and their ``value``, ``grad`` and ``hess``
+are views of that one computation, so each returns the jet's bits by
+construction.  ``sinsin`` and ``expxy`` define only the jet and take the
+three from its parts.  A polynomial's six derivative layers are one stack
+of power matrices, and ``_polyval`` evaluates full-width rows of it: all
+six for the jet, the value's, the gradient's or the Hessian's rows for the
+views.  This module imports nothing of the package but ``errors``.
 """
 from __future__ import annotations
 
@@ -39,7 +41,8 @@ class ScalarField:
     side) may omit grad/hess.
 
     ``jet``, when set, returns (value, (u_x, u_y), (u_xx, u_xy, u_yy)) from
-    one call, bit for bit what the three evaluators return.  It serves only
+    one call; the registry's fields build value, grad and hess as views of
+    the same computation, so they return the jet's bits.  A jet serves only
     the evaluators it was built with: the field records them, and a copy
     made by ``dataclasses.replace`` with another value, grad or hess (a
     weakened Hessian, a counting or timing wrapper) has no jet.
@@ -71,10 +74,9 @@ _LAYERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 @functools.cache
 def _stack_map(n_coeffs: int) -> tuple:
     """Where the (6, n, n) stack of a polynomial with ``n_coeffs`` graded
-    coefficients gets its entries: (n, g, h, dst, src, f1, f2) with the
-    stack's flat entries ``dst`` equal to (coeffs[src] * f1) * f2 and all
-    others zero.  g and h are the sizes of the gradient and Hessian power
-    matrices.  A derivative of c x^p y^q carries its x factors first, so
+    coefficients gets its entries: (n, dst, src, f1, f2) with the stack's
+    flat entries ``dst`` equal to (coeffs[src] * f1) * f2 and all others
+    zero.  A derivative of c x^p y^q carries its x factors first, so
     u_xx takes (c * p) * (p - 1) and u_xy takes (c * p) * q."""
     d = 0
     while (d + 1) * (d + 2) // 2 < n_coeffs:
@@ -97,12 +99,14 @@ def _stack_map(n_coeffs: int) -> tuple:
               np.array(f2, dtype=float))
     for a in arrays:  # shared by every field of this size
         a.flags.writeable = False
-    return (n, max(d, 1), max(d - 1, 1), *arrays)
+    return (n, *arrays)
 
 
-# points per block of the polynomial evaluator, so that a block's table of
-# y-powers stays in cache
-_BLOCK = 8192
+# points per block: ``_polyval`` tabulates the powers of y for this many
+# points at a time, so that a block's table stays in cache, and fem streams
+# its mesh passes through element blocks of at most this many rule points,
+# so that a field's six jet arrays stay small and none spans a whole mesh
+BLOCK_POINTS = 8192
 # the evaluator's matrix products take a multiple of this many columns
 _COLUMNS = 16
 
@@ -112,14 +116,16 @@ def _polyval(c: np.ndarray, x, y) -> tuple:
     and y of any (broadcast) shape: a tuple of k arrays (numpy scalars for
     scalar input).
 
-    Per block of points, one table of the powers of y contracted with the
-    whole stack by one matrix product gives the coefficient of each power
-    of x in every row, and one Horner pass in x sums them for all rows.
-    The table is padded with zero columns to a multiple of ``_COLUMNS``.
+    Per block of ``BLOCK_POINTS`` points, one table of the powers of y
+    contracted with the stack by one matrix product gives the coefficient
+    of each power of x in every row, and one Horner pass in x sums them for
+    all rows.  Every row sums the same n x n terms whichever rows come
+    with it, so a polynomial's views equal its jet, signed zeros included.
+    The table is padded with zero columns to a multiple of ``_COLUMNS``:
     OpenBLAS rounds a single column, and the leftover columns of a large
-    product, in an order that depends on the number of rows; unpadded, a
-    point could get other bits from the zero-padded stack of a jet than
-    from the unpadded views of the evaluators, and alone than in a batch.
+    product, in an order that depends on the number of rows, so unpadded a
+    point could get other bits alone than in a batch, and from a view than
+    from the jet.
     """
     k, nx, ny = c.shape
     x = np.asarray(x, dtype=float)
@@ -129,8 +135,8 @@ def _polyval(c: np.ndarray, x, y) -> tuple:
     xf, yf = x.ravel(), y.ravel()
     rows = c.reshape(k * nx, ny)
     out = np.empty((k, xf.size))
-    for s in range(0, xf.size, _BLOCK):
-        xs, ys = xf[s:s + _BLOCK], yf[s:s + _BLOCK]
+    for s in range(0, xf.size, BLOCK_POINTS):
+        xs, ys = xf[s:s + BLOCK_POINTS], yf[s:s + BLOCK_POINTS]
         m = xs.size
         yp = np.zeros((ny, -(-m // _COLUMNS) * _COLUMNS))
         yp[0] = 1.0
@@ -138,7 +144,7 @@ def _polyval(c: np.ndarray, x, y) -> tuple:
         for j in range(1, ny):
             np.multiply(powers[j - 1], ys, out=powers[j])
         q = (rows @ yp)[:, :m].reshape(k, nx, m)  # q[r, i]: coefficient of x^i
-        acc = out[:, s:s + _BLOCK]
+        acc = out[:, s:s + BLOCK_POINTS]
         acc[:] = q[:, nx - 1]
         for i in range(nx - 2, -1, -1):
             acc *= xs
@@ -159,23 +165,24 @@ def polynomial_field(coeffs, name: str | None = None) -> ScalarField:
     """Polynomial sum c_ij x^i y^j from graded coefficients c00,c10,c01,...
 
     The power matrices of the value, u_x, u_y, u_xx, u_xy and u_yy are one
-    (6, n, n) stack, each zero-padded to the value's n x n; ``value``,
-    ``grad`` and ``hess`` evaluate unpadded views of it and ``jet`` all of
-    it.  Raises UnknownField for a non-finite coefficient.
+    (6, n, n) stack, each zero-padded to the value's n x n; ``jet``
+    evaluates all of it and ``value``, ``grad`` and ``hess`` its rows 0,
+    1-2 and 3-5 at full width, each the jet's terms.  Raises UnknownField
+    for a non-finite coefficient.
     """
     coeffs = [float(v) for v in coeffs]
     bad = [v for v in coeffs if not math.isfinite(v)]
     if bad:
         raise UnknownField(f"polynomial coefficient {bad[0]!r} is not finite")
-    n, g, h, dst, src, f1, f2 = _stack_map(len(coeffs))
+    n, dst, src, f1, f2 = _stack_map(len(coeffs))
     stack = np.zeros((6, n, n))
     np.put(stack, dst, np.array(coeffs)[src] * f1 * f2)
     stack.flags.writeable = False
     if name is None:
         name = "poly:" + ",".join(repr(v) for v in coeffs)
     return ScalarField(name=name, value=functools.partial(_polyval_one, stack[:1]),
-                       grad=functools.partial(_polyval, stack[1:3, :g, :g]),
-                       hess=functools.partial(_polyval, stack[3:, :h, :h]),
+                       grad=functools.partial(_polyval, stack[1:3]),
+                       hess=functools.partial(_polyval, stack[3:]),
                        degree=n - 1, jet=functools.partial(_polyjet, stack))
 
 
@@ -197,53 +204,26 @@ def monomial_field(i: int, j: int) -> ScalarField:
     return polynomial_field(coeffs, name=_monomial_name(i, j))
 
 
-def _sinsin() -> ScalarField:
-    def value(x, y):
-        return np.sin(_PI * np.asarray(x)) * np.sin(_PI * np.asarray(y))
-
-    def grad(x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (
-            _PI * np.cos(_PI * x) * np.sin(_PI * y),
-            _PI * np.sin(_PI * x) * np.cos(_PI * y),
-        )
-
-    def hess(x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        ss = np.sin(_PI * x) * np.sin(_PI * y)
-        cc = np.cos(_PI * x) * np.cos(_PI * y)
-        return (-_PI ** 2 * ss, _PI ** 2 * cc, -_PI ** 2 * ss)
-
-    def jet(x, y):
-        px = _PI * np.asarray(x)
-        py = _PI * np.asarray(y)
-        sx, sy, cx, cy = np.sin(px), np.sin(py), np.cos(px), np.cos(py)
-        ss = sx * sy
-        hxx = -_PI ** 2 * ss
-        return ss, (_PI * cx * sy, _PI * sx * cy), (hxx, _PI ** 2 * (cx * cy), hxx)
-
-    return ScalarField(name="sinsin", value=value, grad=grad, hess=hess, jet=jet)
+def _from_jet(name: str, jet: Callable) -> ScalarField:
+    """The field whose value, gradient and Hessian are the parts of
+    ``jet``."""
+    return ScalarField(name=name, value=lambda x, y: jet(x, y)[0],
+                       grad=lambda x, y: jet(x, y)[1],
+                       hess=lambda x, y: jet(x, y)[2], jet=jet)
 
 
-def _expxy() -> ScalarField:
-    def value(x, y):
-        return np.exp(np.asarray(x) + np.asarray(y))
+def _sinsin_jet(x, y):
+    px = _PI * np.asarray(x)
+    py = _PI * np.asarray(y)
+    sx, sy, cx, cy = np.sin(px), np.sin(py), np.cos(px), np.cos(py)
+    ss = sx * sy
+    hxx = -_PI ** 2 * ss
+    return ss, (_PI * cx * sy, _PI * sx * cy), (hxx, _PI ** 2 * (cx * cy), hxx)
 
-    def grad(x, y):
-        v = value(x, y)
-        return v, v
 
-    def hess(x, y):
-        v = value(x, y)
-        return v, v, v
-
-    def jet(x, y):
-        v = value(x, y)
-        return v, (v, v), (v, v, v)
-
-    return ScalarField(name="expxy", value=value, grad=grad, hess=hess, jet=jet)
+def _expxy_jet(x, y):
+    v = np.exp(np.asarray(x) + np.asarray(y))
+    return v, (v, v), (v, v, v)
 
 
 _FIXED: dict[str, ScalarField] = {}
@@ -251,7 +231,7 @@ for _i in range(5):
     for _j in range(5 - _i):
         _f = monomial_field(_i, _j)
         _FIXED[_f.name] = _f
-for _f in (_sinsin(), _expxy()):
+for _f in (_from_jet("sinsin", _sinsin_jet), _from_jet("expxy", _expxy_jet)):
     _FIXED[_f.name] = _f
 
 _AFFINE_RE = re.compile(r"affine\(([^)]*)\)$")

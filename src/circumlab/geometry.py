@@ -34,7 +34,9 @@ _IDENTITY_REL_TOL = 1e-12
 @dataclass(frozen=True)
 class Triangle:
     """Non-degenerate triangle; vertex order normalized to counterclockwise.
-    ``area``, the (positive) signed area, is computed once, on construction."""
+    ``area``, the (positive) signed area, is computed once, on construction.
+    A non-finite coordinate raises DegenerateTriangle before any arithmetic,
+    so it leaves no numpy warning."""
 
     p1: tuple[float, float]
     p2: tuple[float, float]
@@ -45,6 +47,8 @@ class Triangle:
         p1 = (float(self.p1[0]), float(self.p1[1]))
         p2 = (float(self.p2[0]), float(self.p2[1]))
         p3 = (float(self.p3[0]), float(self.p3[1]))
+        if not all(map(math.isfinite, p1 + p2 + p3)):
+            raise DegenerateTriangle(f"non-finite coordinate in vertices {p1}, {p2}, {p3}")
         v = np.array([p1, p2, p3])
         with np.errstate(over="ignore"):  # an overflow is what the test detects
             s = signed_area(v)

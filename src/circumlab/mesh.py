@@ -34,7 +34,10 @@ class Mesh:
     vertices: (nv, 2) float array; boundary: (nv,) bool; triangles:
     (nt, 3) int array, counterclockwise, held as read-only views so that
     the cached geometry cannot go stale.  ``warnings`` collects parser
-    notes (e.g. reoriented triangles) and is never serialized.
+    notes (e.g. reoriented triangles) and is never serialized.  A vertex
+    with an infinite coordinate raises DegenerateTriangle, before its
+    elements' area arithmetic would warn; a NaN coordinate makes the areas
+    of its elements NaN, which ``geometry`` rejects.
     """
 
     vertices: np.ndarray
@@ -45,6 +48,11 @@ class Mesh:
     def __post_init__(self):
         for name, dtype in (("vertices", float), ("boundary", bool), ("triangles", np.int64)):
             object.__setattr__(self, name, read_only(np.asarray(getattr(self, name), dtype)))
+        infinite = np.isinf(self.vertices).any(axis=-1)
+        if infinite.any():
+            k = int(np.argmax(infinite))
+            raise DegenerateTriangle(
+                f"vertex {k} has an infinite coordinate {tuple(self.vertices[k].tolist())}")
 
     @property
     def n_vertices(self) -> int:
@@ -383,33 +391,27 @@ def _vertex_columns(block: str, count: int) -> list[np.ndarray] | None:
     return None
 
 
-def _triangle_columns(nv: int):
-    def columns(block: str, count: int) -> list[np.ndarray] | None:
-        """Index columns of the triangle lines ``block`` by ``_columns``;
-        None also if an index is outside [0, nv)."""
-        cols = _columns(block, count, "i8,i8,i8")
-        if cols is not None and all(((c >= 0) & (c < nv)).all() for c in cols):
-            return cols
-        return None
-
-    return columns
+def _triangle_columns(block: str, count: int, nv: int) -> list[np.ndarray] | None:
+    """Index columns of the triangle lines ``block`` by ``_columns``; None
+    also if an index is outside [0, nv)."""
+    cols = _columns(block, count, "i8,i8,i8")
+    if cols is not None and all(((c >= 0) & (c < nv)).all() for c in cols):
+        return cols
+    return None
 
 
 def _section(lns, bodies, start: int, count: int, what: str, parse_line,
-             bulk) -> list[np.ndarray]:
-    """Columns of the ``count`` content lines from ``start``, by ``bulk``.
-    When it refuses them, ``parse_line`` on each line in turn raises the
-    first ParseError, a short section ends in an end-of-file error, and
-    lines that all parse give their values."""
-    lines = bodies[start:start + count]
-    if len(lines) == count:
-        cols = bulk("\n".join(lines), count)
-        if cols is not None:
-            return cols
-    rows = [parse_line(ln, b) for ln, b in zip(lns[start:start + count], lines)]
+             dtype: str) -> list[np.ndarray]:
+    """The three columns, of the fields of ``dtype``, of the ``count``
+    content lines from ``start``: ``parse_line`` on each line in turn
+    raises the first ParseError, and a short section ends in an end-of-file
+    error."""
+    rows = [parse_line(ln, b) for ln, b in zip(lns[start:start + count],
+                                                bodies[start:start + count])]
     if len(rows) < count:
         raise ParseError(lns[-1] + 1, f"unexpected end of file, wanted {what}")
-    return [np.array(col) for col in zip(*rows)]
+    cols = list(zip(*rows)) or [()] * 3  # an empty section
+    return [np.array(c, dtype=d) for c, d in zip(cols, dtype.split(","))]
 
 
 def _count_line(lns, bodies, pos: int, header: str, noun: str) -> int:
@@ -446,10 +448,10 @@ def _line_sections(text: str):
 
     nv = _count_line(lns, bodies, 0, "vertices N", "vertex")
     verts = _section(lns, bodies, 1, nv, "a vertex line 'x y flag'",
-                     _vertex_line, _vertex_columns)
+                     _vertex_line, "f8,f8,i8")
     nt = _count_line(lns, bodies, 1 + nv, "triangles M", "triangle")
     tris = _section(lns, bodies, 2 + nv, nt, "a triangle line 'i j k'",
-                    _triangle_line(nv), _triangle_columns(nv))
+                    _triangle_line(nv), "i8,i8,i8")
     pos = 2 + nv + nt
     if pos != len(bodies):
         raise ParseError(lns[pos], "trailing content after triangle list")
@@ -480,7 +482,7 @@ def _plain_sections(text: str):
             or triangle_lines.count("\n") != nt):
         return None
     verts = _vertex_columns(vertex_lines, nv)
-    tris = _triangle_columns(nv)(triangle_lines, nt)
+    tris = _triangle_columns(triangle_lines, nt, nv)
     if verts is None or tris is None:
         return None
     return verts, tris, range(nv + 3, nv + 3 + nt)

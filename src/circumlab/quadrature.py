@@ -9,10 +9,9 @@ embedded point tables.
 
 ``FieldAtRule`` holds a field at one rule's points on a batch of triangles;
 it is the one evaluation kernel behind the seminorms below,
-``interp.error_report`` and the mesh error functionals of ``fem``.  Up to
-``JET_MAX_POINTS`` points it takes value, gradient and Hessian from one call
-of the field's jet once a derivative is asked for, and it reuses element
-geometry it is given.
+``interp.error_report`` and the mesh error functionals of ``fem``.  When
+the field has a jet, the first derivative asked for takes value, gradient
+and Hessian from one jet call, and it reuses element geometry it is given.
 
 Seminorms follow the weighted convention
 
@@ -39,12 +38,6 @@ MAX_DEGREE = 30
 START_DEGREE = 8
 REL_TOL = 1e-8
 SUP_GRID = 64
-# the most points at which FieldAtRule takes a field's jet: on one triangle's
-# rule the jet saves most of the evaluators' per-call cost, while on a mesh's
-# millions of points the polynomial evaluators were faster than the jet, and
-# the jet would hold the Hessian before the first derivative is reduced; fem
-# streams a mesh in blocks of this many rule points, so each block takes one
-JET_MAX_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -156,10 +149,10 @@ class FieldAtRule:
 
     ``geometry``, the triangles' ``element_geometry`` when the caller has
     it, is used as is, its areas for the weights.  When the field has a
-    jet and there are at most ``JET_MAX_POINTS`` points, the first
-    derivative asked for takes value, gradient and Hessian from one jet
-    call; a value asked for before any derivative comes from the field's
-    ``value``.
+    jet, the first derivative asked for takes value, gradient and Hessian
+    from one jet call; a value asked for before any derivative comes from
+    the field's ``value``, which for the registry's fields is a view of the
+    jet with the same bits.
     """
 
     def __init__(self, pts, field, rule: QuadratureRule, geometry=None):
@@ -194,9 +187,9 @@ class FieldAtRule:
         if fn is None:
             what = {"grad": "gradient evaluators", "hess": "Hessian"}[kind]
             raise InconsistentSpec(f"{getattr(self.field, 'name', self.field)} has no {what}")
-        x, y, _ = self.points
-        if getattr(self.field, "jet", None) is not None and np.size(x) <= JET_MAX_POINTS:
+        if getattr(self.field, "jet", None) is not None:
             return self.jet[1 if kind == "grad" else 2]
+        x, y, _ = self.points
         return fn(x, y)
 
     @functools.cached_property

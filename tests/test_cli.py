@@ -55,6 +55,24 @@ def test_negative_needle_base_exit_2(command, capsys):
     assert "invalid family" in err and "negative" in err
 
 
+@pytest.mark.parametrize("vertex", ["inf,0", "0,-inf", "nan,0", "1e400,0"])
+@pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
+def test_non_finite_vertex_exit_2(command, vertex, capsys):
+    code = cli.main([command, vertex, "1,0", "0,1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"usage error: vertex {vertex!r} has a non-finite coordinate\n"
+
+
+@pytest.mark.parametrize("needle", [("inf", "1.5"), ("nan", "1.5"), ("0.5", "inf"), ("0.5", "nan")])
+@pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
+def test_non_finite_needle_exit_2(command, needle, capsys):
+    code = cli.main([command, "--needle", *needle])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --needle") and "not finite" in err
+
+
 @pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
 def test_zero_needle_base_exit_3(command, capsys):
     assert cli.main([command, "--needle", "0", "1.5"]) == 3

@@ -68,14 +68,19 @@ class TestMetrics:
 
     @pytest.mark.parametrize("p2,p3", [((0, 0), (0, 0)), ((1, 0), (math.nan, 1)),
                                        ((1, 0), (0, math.inf)),
+                                       ((math.inf, math.inf), (1, 1)),
+                                       ((math.inf, 0), (math.inf, 1)),
                                        ((1e-160, 0), (0, 1e-160)),
                                        ((1e160, 0), (0, 1e160)),
                                        ((1e-100, 0), (0, 1e-100)),
                                        ((1e100, 0), (0, 1e100))],
-                             ids=["coincident", "nan", "inf", "subnormal-area",
+                             ids=["coincident", "nan", "inf", "inf-minus-inf",
+                                  "inf-times-zero", "subnormal-area",
                                   "overflowing-area", "underflowing-area-square",
                                   "overflowing-area-square"])
     def test_coincident_or_non_finite_rejected(self, p2, p3):
+        # with no numpy warning: tier-1 makes a RuntimeWarning an error, and
+        # inf - inf or inf * 0 in the signed area used to raise one
         with pytest.raises(DegenerateTriangle):
             Triangle((0, 0), p2, p3)
 

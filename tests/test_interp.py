@@ -146,17 +146,32 @@ class TestErrorReport:
         assert rep.bound_satisfied  # the p = 2 bound holds regardless
 
     def test_bound_check_relative_on_tiny_triangles(self):
-        # x2's value and gradient with a tenth of its Hessian: err_1p is
-        # 3.7e-13 against a bound of 6.3e-14, far below an absolute slack
+        # x2's value and gradient with a weakened Hessian.  A tenth of it
+        # puts err_1p at 3.7e-13 against a bound of 6.3e-14, far below an
+        # absolute slack; the scale that puts err_1p 1e-6 relative above
+        # the bound must fail as well, so the slack is relative and small
         x2 = get_field("x2")
-        weak = dataclasses.replace(
-            x2, hess=lambda x, y: tuple(0.1 * h for h in x2.hess(x, y)))
         lam = 2.0 ** -20
         tri = Triangle((0, 0), (lam, 0), (0, lam))
-        rep = error_report(tri, weak, 2.0)
-        assert rep.err_1p > rep.kobayashi_bound * rep.semi_2p
-        assert not rep.bound_satisfied
-        assert error_report(tri, x2, 2.0).bound_satisfied
+        exact = error_report(tri, x2, 2.0)
+        assert exact.bound_satisfied
+        near = exact.err_1p / (exact.kobayashi_bound * exact.semi_2p * (1.0 + 1e-6))
+        for scale in (0.1, near):
+            weak = dataclasses.replace(
+                x2, hess=lambda x, y: tuple(scale * h for h in x2.hess(x, y)))
+            rep = error_report(tri, weak, 2.0)
+            assert rep.err_1p > rep.kobayashi_bound * rep.semi_2p
+            assert not rep.bound_satisfied
+        assert rep.err_1p / (rep.kobayashi_bound * rep.semi_2p) - 1.0 == pytest.approx(1e-6, rel=1e-6)
+
+    def test_sup_error_of_x3_pinned(self):
+        # I_h x^3 = x on the reference triangle, and x - x^3 peaks at
+        # x = 1/sqrt(3) at 2/(3 sqrt(3)); the sup grid's nested samples
+        # approach it from below: 2.7e-6 relative below it at SUP_GRID 64,
+        # 9.8e-4 at 32 and 1.05e-2 at 8
+        rep = error_report(reference_triangle(), get_field("x3"), math.inf)
+        peak = 2.0 / (3.0 * math.sqrt(3.0))
+        assert peak * (1.0 - 1e-5) <= rep.err_0p <= peak
 
 
 class TestCallCounts:

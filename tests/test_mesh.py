@@ -42,6 +42,16 @@ class TestMeshObject:
         Mesh(v, np.ones(3, dtype=bool), t)
         assert v.flags.writeable and t.flags.writeable
 
+    @pytest.mark.parametrize("k, bad", [(0, math.inf), (1, -math.inf), (2, math.inf), (3, -math.inf)],
+                             ids=["v0-x-inf", "v1-y-minus-inf", "v2-x-inf", "unused-v3"])
+    def test_infinite_vertex_rejected(self, k, bad):
+        # vertex 3 is in no triangle; inf at vertex 0 used to reach the
+        # geometry and warn there (TestValidate covers a NaN vertex)
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        v[k, k % 2] = bad
+        with pytest.raises(DegenerateTriangle, match=f"vertex {k} has an infinite coordinate"):
+            Mesh(v, np.ones(4, dtype=bool), np.array([[0, 1, 2], [1, 3, 2]]))
+
     def test_geometry_cached(self):
         m = gen_crisscross_aniso(3, 1.5)
         assert m.coords is m.coords and m.geometry is m.geometry

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from circumlab.errors import InconsistentSpec, InvalidExponent, UnsupportedDegree
-from circumlab.fields import ScalarField, get_field, polynomial_field
+from circumlab.fields import BLOCK_POINTS, ScalarField, get_field, polynomial_field
 from circumlab.geometry import Triangle, reference_triangle
 from circumlab.mesh import gen_uniform
 from circumlab.quadrature import (
-    JET_MAX_POINTS,
     SUP_GRID,
     FieldAtRule,
     SeminormSpec,
@@ -198,11 +197,12 @@ class TestRuleCache:
 
 
 class TestJetSelection:
-    """``FieldAtRule`` takes one jet call up to ``JET_MAX_POINTS`` points and
-    the field's evaluators above, with the same numbers either way."""
+    """``FieldAtRule`` takes one jet call whenever the field has a jet, on
+    as many elements as fit in ``BLOCK_POINTS`` rule points and on one
+    more, with the same numbers as the evaluators of a copy without it."""
 
     @pytest.mark.parametrize("field", ["poly:1,2,3,4,5,6,7,8,9,10", "sinsin"])
-    def test_jet_up_to_the_limit(self, field):
+    def test_one_jet_call_at_any_size(self, field):
         f = get_field(field)
         calls = []
 
@@ -211,14 +211,16 @@ class TestJetSelection:
             return f.jet(x, y)
 
         g = ScalarField(f.name, f.value, f.grad, f.hess, f.degree, counting_jet)
+        jetless = ScalarField(f.name, f.value, f.grad, f.hess, f.degree)
+        assert jetless.jet is None
         rule = make_rule(8)
-        n_max = JET_MAX_POINTS // len(rule.weights)
+        n_max = BLOCK_POINTS // len(rule.weights)
         pts = gen_uniform(13).coords  # 338 triangles
         assert len(pts) > n_max
         for n in (n_max, n_max + 1):
-            with_jet, without = FieldAtRule(pts[:n], g, rule), FieldAtRule(pts[:n], f, rule)
+            with_jet, without = FieldAtRule(pts[:n], g, rule), FieldAtRule(pts[:n], jetless, rule)
             assert with_jet.hessian_power(2.0).tobytes() == without.hessian_power(2.0).tobytes()
             nodal = np.ones((n, 3))
             for a, b in zip(with_jet.error_power(nodal, 2.0), without.error_power(nodal, 2.0)):
                 assert a.tobytes() == b.tobytes()
-        assert calls == [n_max * len(rule.weights)]
+        assert calls == [n * len(rule.weights) for n in (n_max, n_max + 1)]
