@@ -309,10 +309,12 @@ def circumradius_identity_check(tri: Triangle) -> bool:
 
 def needle_triangle(h: float, alpha: float) -> Triangle:
     """Isosceles triangle with base h on the x-axis and apex height h**alpha.
-    A negative h raises InvalidFamily; h = 0 gives a DegenerateTriangle."""
+    A negative h raises InvalidFamily; h = 0, or a height past the float
+    range, gives a DegenerateTriangle."""
     if h < 0.0:
         raise InvalidFamily(f"needle base h = {h} is negative")
-    return Triangle((0.0, 0.0), (h, 0.0), (0.5 * h, h ** alpha))
+    with np.errstate(over="ignore", divide="ignore"):  # Triangle refuses an infinite height
+        return Triangle((0.0, 0.0), (h, 0.0), (0.5 * h, float(np.float64(h) ** alpha)))
 
 
 def random_triangles(n: int, rng: np.random.Generator) -> np.ndarray:

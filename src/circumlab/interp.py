@@ -110,10 +110,9 @@ def error_report(
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
     The one-element case of the mesh error functionals, with one element
-    geometry for the interpolant and every rule.  ``rule`` fixes
-    the points at every p.  With it unset, p = inf takes the sup grid,
-    polynomial fields get one rule exact for all three seminorms and other
-    fields one degree-doubling loop over all three.
+    geometry for the interpolant and every rule.  ``rule`` fixes the points
+    at every p; without it ``adaptive_values`` picks one rule for all three
+    seminorms, as it does for ``quadrature.seminorm``.
     """
     if not p >= 1.0:
         raise InvalidExponent(f"p = {p} below 1")
@@ -194,13 +193,14 @@ def needle_study(
 
     For alpha > 1 the apex angle tends to pi as h -> 0, yet for
     1 < alpha < 2 the circumradius (and with it ratio_1) still tends to 0.
-    ``force`` admits alpha outside (1, inf) without the flattening
+    ``force`` admits a finite alpha <= 1 without the flattening
     expectation.
     """
+    if not math.isfinite(alpha):
+        raise InvalidFamily(f"alpha = {alpha} is not finite")
     if alpha <= 1.0 and not force:
-        raise InvalidFamily(
-            f"alpha = {alpha} <= 1 does not flatten; pass force=True to run anyway"
-        )
+        raise InvalidFamily(f"alpha = {alpha} <= 1 does not flatten; "
+                            "pass force=True to run anyway")
     rows = []
     for h in h_list:
         if not 0.0 < h < 1.0:

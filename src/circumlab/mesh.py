@@ -101,9 +101,9 @@ def _groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def validate(mesh: Mesh) -> None:
     """Raise on vertex indices outside [0, n_vertices), non-positive
-    elements, duplicate triangles, over-shared or mis-flagged edges;
-    boundary flags must mark exactly the vertices of edges used by a single
-    triangle.
+    elements, NaN vertices, duplicate triangles, over-shared or mis-flagged
+    edges; boundary flags must mark exactly the vertices of edges used by a
+    single triangle.
 
     Of the non-positive elements the first is reported.  Of the
     duplicate-triangle and over-shared-edge faults, the one reported is the
@@ -114,6 +114,10 @@ def validate(mesh: Mesh) -> None:
     if t.size and (int(t.min()) < 0 or int(t.max()) >= nv):
         raise NonConforming("triangle references a missing vertex")
     mesh.geometry  # raises on the first non-positive element
+    if np.isnan(mesh.vertices).any():  # geometry passed, so only at a vertex of no element
+        k = int(np.isnan(mesh.vertices).argmax()) // 2
+        raise DegenerateTriangle(f"vertex {k}, in no triangle, has a NaN coordinate "
+                                 f"{tuple(mesh.vertices[k].tolist())}")
 
     nt = len(t)
     # keys below nv**2, which cannot overflow int64 for any mesh in memory

@@ -8,10 +8,11 @@ polynomial of total degree <= d.  Arbitrary degree is supported without
 embedded point tables.
 
 ``FieldAtRule`` holds a field at one rule's points on a batch of triangles;
-it is the one evaluation kernel behind the seminorms below,
-``interp.error_report`` and the mesh error functionals of ``fem``.  When
-the field has a jet, the first derivative asked for takes value, gradient
-and Hessian from one jet call, and it reuses element geometry it is given.
+it is the one evaluation kernel behind ``seminorm``, ``interp.error_report``
+and the mesh error functionals of ``fem``, and ``adaptive_values`` picks the
+rule of the first two when none is given.  When the field has a jet, the
+first derivative asked for takes value, gradient and Hessian from one jet
+call, and it reuses element geometry it is given.
 
 Seminorms follow the weighted convention
 
@@ -142,10 +143,10 @@ def lp_root(power, p: float) -> float:
 
 
 class FieldAtRule:
-    """A field on a Triangle or the triangles of a (..., 3, 2) vertex array
-    at the points of one rule: element geometry, the physical points and
-    the field's value, gradient and Hessian there, each computed at most
-    once, on first use.
+    """A field on the triangles of a (..., 3, 2) vertex array at the points
+    of one rule: element geometry, the physical points and the field's
+    value, gradient and Hessian there, each computed at most once, on first
+    use.
 
     ``geometry``, the triangles' ``element_geometry`` when the caller has
     it, is used as is, its areas for the weights.  When the field has a
@@ -156,7 +157,7 @@ class FieldAtRule:
     """
 
     def __init__(self, pts, field, rule: QuadratureRule, geometry=None):
-        self.pts = pts.vertices if isinstance(pts, Triangle) else pts
+        self.pts = pts
         self.field = field
         self.rule = rule
         self._geometry = geometry
@@ -217,16 +218,6 @@ class FieldAtRule:
         return lp_power(self.points[2], p, (h[0], h[2], h[1]), (1.0, 1.0, 2.0))
 
 
-def seminorm_power(expr, m: int, p: float, pts, rule: QuadratureRule) -> np.ndarray:
-    """|expr|_{m,p}^p (the max at p = inf) of each triangle of ``pts``, a
-    Triangle or a (..., 3, 2) vertex array, on the points of ``rule``: the
-    ``FieldAtRule`` view that m needs."""
-    at_rule = FieldAtRule(pts, expr, rule)
-    if m == 2:
-        return at_rule.hessian_power(p)
-    return lp_power(at_rule.points[2], p, [at_rule.value] if m == 0 else at_rule.grad)
-
-
 def barycentric_grid(subdiv: int) -> np.ndarray:
     """Uniform barycentric sample grid; nested under subdiv doubling.
     Rows run over i = 0..subdiv, then j = 0..subdiv - i, and hold
@@ -247,20 +238,6 @@ def sup_rule(subdiv: int) -> QuadratureRule:
     pts = barycentric_grid(subdiv)
     return QuadratureRule(degree=0, points=read_only(pts),
                           weights=read_only(np.zeros(len(pts))))
-
-
-def seminorm(expr, spec: SeminormSpec, tri: Triangle,
-             rule: QuadratureRule | None = None) -> float:
-    """|expr|_{m,p,K} on the points of ``rule``: by default the degree-8
-    rule for p < inf, and for p = inf the barycentric grid with
-    ``SUP_GRID`` subdivisions, whose max is a lower estimate of the
-    essential sup.
-
-    ``expr`` must expose value/grad/hess evaluators as far as m requires.
-    """
-    if rule is None:
-        rule = sup_rule(SUP_GRID) if math.isinf(spec.p) else make_rule(8)
-    return lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule), spec.p)
 
 
 def adaptive_values(evaluate, p: float, degree: int | None) -> list[float]:
@@ -287,11 +264,24 @@ def adaptive_values(evaluate, p: float, degree: int | None) -> list[float]:
     return vals
 
 
-def seminorm_auto(expr, spec: SeminormSpec, tri: Triangle) -> float:
-    """Seminorm on the rule ``adaptive_values`` picks: one exact rule for
-    polynomial expressions with even p, else degrees doubling until two
-    successive values agree to ``REL_TOL`` relative."""
+def seminorm(expr, spec: SeminormSpec, tri: Triangle,
+             rule: QuadratureRule | None = None) -> float:
+    """|expr|_{m,p,K} on the points of ``rule``, else on the rule
+    ``adaptive_values`` picks; ``seminorm_auto`` is the same function.
+
+    ``expr`` must expose value/grad/hess evaluators as far as m requires.
+    """
+    def evaluate(r: QuadratureRule) -> list[float]:
+        at_rule = FieldAtRule(tri.vertices, expr, r)
+        if spec.m == 2:
+            return [lp_root(at_rule.hessian_power(spec.p), spec.p)]
+        fs = [at_rule.value] if spec.m == 0 else at_rule.grad
+        return [lp_root(lp_power(at_rule.points[2], spec.p, fs), spec.p)]
+
+    if rule is not None:
+        return evaluate(rule)[0]
     deg = getattr(expr, "degree", None)
-    return adaptive_values(
-        lambda rule: [lp_root(seminorm_power(expr, spec.m, spec.p, tri, rule), spec.p)],
-        spec.p, None if deg is None else deg - spec.m)[0]
+    return adaptive_values(evaluate, spec.p, None if deg is None else deg - spec.m)[0]
+
+
+seminorm_auto = seminorm

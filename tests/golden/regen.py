@@ -1,0 +1,103 @@
+"""Rewrite the golden CLI corpus in this directory.
+
+Each case runs ``python -m circumlab.cli ARGV`` in a fresh interpreter on
+the ``src/`` of this checkout, in an empty temporary working directory that
+holds a copy of every file in ``inputs/``, with one BLAS/OpenMP thread.  It
+records, under ``<case>/``:
+
+- ``argv.json``: the arguments after ``circumlab``
+- ``exit_code``, ``stdout`` and ``stderr``, as bytes
+- ``out/``: every file the command wrote under ``--out out``
+
+``tests/test_golden.py`` reruns each case and compares the bytes.  Run from
+anywhere with
+
+    python tests/golden/regen.py
+
+A change that regenerates the corpus names every file it changed in
+CHANGES.md.
+"""
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parents[1] / "src"
+INPUTS = HERE / "inputs"
+
+CASES = {
+    "triangle_vertices": ["triangle", "0,0", "1,0", "0.3,0.8", "--out", "out"],
+    "triangle_needle_json": ["triangle", "--needle", "0.01", "1.5", "--format", "json",
+                             "--out", "out"],
+    "interp_triangle": ["interp", "0,0", "1,0", "0.2,0.9", "--field", "expxy", "--p", "3",
+                        "--out", "out"],
+    # err_1p / (R_K |v|_2) is about 1.2 here, above EMPIRICAL_CP = 1: exit 1
+    "interp_needle_inf": ["interp", "--needle", "0.1", "1.2", "--p", "inf",
+                          "--quad-degree", "6"],
+    "interp_needle_study_csv": ["interp", "--needle-study", "1.5", "--levels", "3",
+                                "--format", "csv", "--out", "out"],
+    "constants_kind_b": ["constants", "--kind", "B", "--degree", "6", "0,0", "1,0", "0,1",
+                         "--out", "out"],
+    "constants_audit": ["constants", "--audit", "--right", "2", "--canonical", "2",
+                        "--degree", "6", "--format", "both", "--out", "out"],
+    "constants_babuska_aziz": ["constants", "--babuska-aziz"],
+    "mesh_crisscross": ["mesh", "--family", "crisscross", "--n", "4", "--out", "out"],
+    "mesh_check_crlf": ["mesh", "--check", "square_crlf.txt"],
+    "fem_svg": ["fem", "--levels", "2", "--n0", "4", "--svg", "--out", "out"],
+    "fem_uniform_json": ["fem", "--family", "uniform", "--levels", "2", "--n0", "4",
+                         "--format", "json", "--out", "out"],
+    "usage_levels_without_study": ["interp", "0,0", "1,0", "0,1", "--levels", "3"],
+    "degenerate_collinear": ["triangle", "0,0", "1,0", "2,0"],
+    # the needle's height overflows a float: degenerate, not a failed bound
+    "degenerate_needle_overflow_triangle": ["triangle", "--needle", "1e300", "1.5"],
+    "degenerate_needle_overflow_interp": ["interp", "--needle", "1e300", "1.5"],
+    "degenerate_needle_overflow_constants": ["constants", "--needle", "1e300", "1.5"],
+    "usage_needle_study_nan": ["interp", "--needle-study", "nan"],
+}
+
+
+def run_case(argv: list[str], threads: int = 1) -> dict[str, bytes]:
+    """The recorded files of one run of ``circumlab ARGV``, by their path
+    in the case directory (``argv.json`` excluded)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in INPUTS.iterdir():
+            shutil.copy(path, tmp)
+        proc = subprocess.run([sys.executable, "-m", "circumlab.cli", *argv],
+                              cwd=tmp, env=env, capture_output=True, check=False)
+        out = Path(tmp, "out")
+        files = {f"out/{p.relative_to(out).as_posix()}": p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit_code": f"{proc.returncode}\n".encode(), "stdout": proc.stdout,
+            "stderr": proc.stderr, **files}
+
+
+def recorded(case: Path) -> dict[str, bytes]:
+    """The files of a case directory as ``run_case`` returns them."""
+    return {p.relative_to(case).as_posix(): p.read_bytes()
+            for p in sorted(case.rglob("*")) if p.is_file() and p.name != "argv.json"}
+
+
+def main() -> None:
+    for case in HERE.iterdir():
+        if (case / "argv.json").is_file():
+            shutil.rmtree(case)
+    for name, argv in CASES.items():
+        case = HERE / name
+        for rel, data in {"argv.json": (json.dumps(argv) + "\n").encode(),
+                          **run_case(argv)}.items():
+            (case / rel).parent.mkdir(parents=True, exist_ok=True)
+            (case / rel).write_bytes(data)
+        print(f"{name}: exit {(case / 'exit_code').read_text().strip()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -241,6 +241,9 @@ def validate_loop(mesh) -> None:
     for k, area in enumerate(areas):
         if not area > 0.0:
             raise DegenerateTriangle(f"element {k} has non-positive area {area:.3e}")
+    for k, (x, y) in enumerate(mesh.vertices.tolist()):
+        if math.isnan(x) or math.isnan(y):
+            raise DegenerateTriangle(f"vertex {k}, in no triangle, has a NaN coordinate {(x, y)}")
     seen: dict[tuple[int, int, int], int] = {}
     edge_use: dict[tuple[int, int], int] = {}
     for k, (i, j, l) in enumerate(mesh.triangles):

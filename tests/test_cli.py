@@ -78,7 +78,23 @@ def test_zero_needle_base_exit_3(command, capsys):
     assert cli.main([command, "--needle", "0", "1.5"]) == 3
 
 
+@pytest.mark.parametrize("needle", [("1e300", "1.5"), ("0", "-1")])
+@pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
+def test_needle_height_outside_floats_exit_3(command, needle, capsys):
+    code = cli.main([command, "--needle", *needle])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate triangle: non-finite coordinate")
+
+
 class TestInterpCommand:
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_needle_study_exit_2(self, capsys, alpha):
+        code = cli.main(["interp", "--needle-study", alpha])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"invalid family: alpha = {alpha} is not finite\n"
+
     def test_needle_study_writes_reports(self, capsys, tmp_path):
         code, out = run(
             capsys, "interp", "--needle-study", "1.5", "--field", "sinsin",

@@ -165,6 +165,12 @@ class TestConditionFlags:
         with pytest.raises(InvalidFamily):
             needle_triangle(-0.1, alpha)
 
+    @pytest.mark.parametrize("h, alpha", [(1e300, 1.5), (0.0, -1.0)],
+                             ids=["overflowing-height", "infinite-height"])
+    def test_needle_height_outside_floats_degenerate(self, h, alpha):
+        with pytest.raises(DegenerateTriangle, match="non-finite coordinate"):
+            needle_triangle(h, alpha)
+
     def test_sigma_infinity(self):
         m = metrics(needle_triangle(0.1, 1.9))
         assert condition_flags(m, 0.01, 3.0, math.inf)["regular_ok"]

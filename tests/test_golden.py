@@ -1,0 +1,32 @@
+"""The CLI's reports, byte for byte, against the golden corpus in
+``golden/``: each case reruns its command in a fresh interpreter and must
+give the recorded exit code, stdout, stderr and ``--out`` files.
+``golden/regen.py`` rewrites the corpus."""
+import json
+from pathlib import Path
+
+import pytest
+
+from golden.regen import CASES, HERE, recorded, run_case
+
+CASE_DIRS = sorted(p.parent for p in HERE.glob("*/argv.json"))
+
+
+def _argv(case: Path) -> list[str]:
+    return json.loads((case / "argv.json").read_text())
+
+
+def test_corpus_holds_every_listed_case():
+    assert sorted(CASES) == [case.name for case in CASE_DIRS]
+
+
+@pytest.mark.parametrize("case", CASE_DIRS, ids=lambda case: case.name)
+def test_report_bytes(case):
+    assert run_case(_argv(case)) == recorded(case)
+
+
+# the constants reports move with the BLAS thread count (ROADMAP Baseline)
+@pytest.mark.parametrize("case", [c for c in CASE_DIRS if _argv(c)[0] != "constants"],
+                         ids=lambda case: case.name)
+def test_report_bytes_under_two_threads(case):
+    assert run_case(_argv(case), threads=2) == recorded(case)

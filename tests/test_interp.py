@@ -234,7 +234,7 @@ class TestCallCounts:
 
     def test_values_only_seminorm_skips_the_jet(self, monkeypatch):
         calls, v = self.counted_with_jet(get_field("sinsin"), monkeypatch)
-        quadrature.seminorm(v, quadrature.SeminormSpec(0, 2.0), REF)
+        quadrature.seminorm(v, quadrature.SeminormSpec(0, 2.0), REF, quadrature.make_rule(8))
         assert calls == {"make_rule": 1, "value": 1}
 
     @pytest.mark.parametrize("field, tri", [
@@ -333,6 +333,12 @@ class TestNeedleStudy:
         needle_study([0.25], 1.0, get_field("sinsin"), force=True)
         with pytest.raises(InvalidFamily):
             needle_study([1.5], 1.5, get_field("sinsin"))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_non_finite_alpha_refused(self, alpha, force):
+        with pytest.raises(InvalidFamily, match="not finite"):
+            needle_study([0.25], alpha, get_field("sinsin"), force=force)
 
     def test_csv_row_layout(self):
         rows = needle_study([0.25], 1.5, get_field("x2"), 2.0)

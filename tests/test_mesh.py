@@ -399,6 +399,15 @@ class TestValidate:
             with pytest.raises(DegenerateTriangle, match="element 1 has non-positive area nan"):
                 check(Mesh(v, m.boundary, m.triangles))
 
+    def test_nan_vertex_in_no_triangle_rejected(self):
+        # write_mesh would write vertex 3 as 'nan 5 0', which read_mesh refuses
+        m = Mesh([(0, 0), (1, 0), (0, 1), (math.nan, 5)], [True, True, True, False],
+                 [(0, 1, 2)])
+        message = "vertex 3, in no triangle, has a NaN coordinate (nan, 5.0)"
+        for check in (validate, validate_loop):
+            with pytest.raises(DegenerateTriangle, match=re.escape(message)):
+                check(m)
+
     def test_first_offending_element_reported(self):
         m = gen_uniform(2)
         t = m.triangles

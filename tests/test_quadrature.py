@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circumlab.errors import InconsistentSpec, InvalidExponent, UnsupportedDegree
-from circumlab.fields import BLOCK_POINTS, ScalarField, get_field, polynomial_field
+from circumlab.fields import BLOCK_POINTS, ScalarField, get_field, monomial_field, polynomial_field
 from circumlab.geometry import Triangle, reference_triangle
 from circumlab.mesh import gen_uniform
 from circumlab.quadrature import (
@@ -172,6 +172,25 @@ class TestSeminorms:
         got = seminorm_auto(f, SeminormSpec(1, 2), REF)
         want = seminorm(f, SeminormSpec(1, 2), REF, make_rule(12))
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_one_seminorm(self):
+        assert seminorm is seminorm_auto
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_default_converges_on_sinsin(self, m):
+        # the degree-8 rule alone is off by 5.5e-5 to 6.7e-5 here, and a
+        # loop that stops at 1e-4 agreement by 1.3e-11 to 1.5e-11
+        f = get_field("sinsin")
+        tri = Triangle((0, 0), (0.85, 0), (0.255, 0.7225))
+        want = seminorm(f, SeminormSpec(m, 2), tri, make_rule(30))
+        assert seminorm(f, SeminormSpec(m, 2), tri) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_default_exact_on_x6(self, m):
+        # the degree-8 rule alone is off by 3.0e-3 (m = 0) and 4.3e-4 (m = 1)
+        f = monomial_field(6, 0)
+        want = seminorm(f, SeminormSpec(m, 2), REF, make_rule(30))
+        assert seminorm(f, SeminormSpec(m, 2), REF) == pytest.approx(want, rel=1e-13)
 
     def test_barycentric_grid_nested(self):
         g1 = {tuple(p) for p in np.round(barycentric_grid(8), 12)}
