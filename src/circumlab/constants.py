@@ -41,8 +41,8 @@ import numpy as np
 
 from . import _basis
 from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
-from .geometry import Triangle, canonicalize, edge_lengths, metrics
-from .quadrature import make_rule, read_only
+from .geometry import Triangle, canonicalize, edge_lengths, metrics, read_only
+from .quadrature import make_rule
 
 # Published approximate value of the vertex-constrained second-order
 # quotient D_2 on the reference triangle (Liu-Kikuchi): 1/0.167.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,19 @@ _SQRT3 = math.sqrt(3.0)
 _IDENTITY_REL_TOL = 1e-12
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (a 0-d one for a scalar), for arrays that
+    are cached or shared; ``a`` itself keeps its flags."""
+    v = np.asarray(a).view()
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Non-degenerate triangle; vertex order normalized to counterclockwise.
-    ``area``, the (positive) signed area, is computed once, on construction.
+    ``area``, the (positive) signed area, is computed once, on construction;
+    ``vertices`` and ``geometry`` once, on first use, as read-only arrays.
     A non-finite coordinate raises DegenerateTriangle before any arithmetic,
     so it leaves no numpy warning."""
 
@@ -67,9 +77,16 @@ class Triangle:
         # swapping two vertices negates the signed area exactly
         object.__setattr__(self, "area", float(abs(s)))
 
-    @property
+    @cached_property
     def vertices(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3], dtype=float)
+        """(3, 2) vertex coordinates, read-only."""
+        return read_only(np.array([self.p1, self.p2, self.p3], dtype=float))
+
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``element_geometry`` of ``vertices``: the signed area (a 0-d
+        array) and hat gradients gx, gy (3,), read-only."""
+        return tuple(map(read_only, element_geometry(self.vertices)))
 
 
 def signed_area(pts):

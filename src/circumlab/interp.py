@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidExponent, InvalidFamily
 from .fields import ScalarField
-from .geometry import Triangle, TriangleMetrics, element_geometry, metrics, needle_triangle
+from .geometry import Triangle, TriangleMetrics, metrics, needle_triangle
 from .quadrature import FieldAtRule, QuadratureRule, adaptive_values, lp_root
 
 # the constant of the circumradius bound checked away from p = 2
@@ -38,18 +38,19 @@ class AffineFunction:
         return (self.c0, self.cx, self.cy)
 
 
-def _interpolant(pts: np.ndarray, v: ScalarField, geometry):
-    """v at the vertices ``pts`` (3, 2) and the gradient (cx, cy) of I_h v,
-    from the triangle's ``element_geometry``."""
+def _interpolant(tri: Triangle, v: ScalarField):
+    """v at the vertices of ``tri`` and the gradient (cx, cy) of I_h v,
+    from the triangle's hat gradients."""
+    pts = tri.vertices
     nodal = np.asarray(v.value(pts[:, 0], pts[:, 1]), dtype=float)
-    _, gx, gy = geometry
+    _, gx, gy = tri.geometry
     return nodal, float(nodal @ gx), float(nodal @ gy)
 
 
 def p1_interpolate(tri: Triangle, v: ScalarField) -> AffineFunction:
     """Affine function matching v at the three apexes."""
     pts = tri.vertices
-    nodal, cx, cy = _interpolant(pts, v, element_geometry(pts))
+    nodal, cx, cy = _interpolant(tri, v)
     c0 = float(np.mean(nodal - cx * pts[:, 0] - cy * pts[:, 1]))
     return AffineFunction(c0=c0, cx=cx, cy=cy)
 
@@ -109,20 +110,18 @@ def error_report(
 ) -> InterpErrorReport:
     """Seminorms of v - I_h v on ``tri`` with the p = 2 bound checks.
 
-    The one-element case of the mesh error functionals, with one element
-    geometry for the interpolant and every rule.  ``rule`` fixes the points
-    at every p; without it ``adaptive_values`` picks one rule for all three
-    seminorms, as it does for ``quadrature.seminorm``.
+    The one-element case of the mesh error functionals, on the triangle's
+    own geometry.  ``rule`` fixes the points at every p; without it
+    ``adaptive_values`` picks one rule for all three seminorms, as it does
+    for ``quadrature.seminorm``.
     """
     if not p >= 1.0:
         raise InvalidExponent(f"p = {p} below 1")
     m = metrics(tri)
-    pts = tri.vertices
-    geometry = element_geometry(pts)
-    nodal, cx, cy = _interpolant(pts, v, geometry)
+    nodal, cx, cy = _interpolant(tri, v)
 
     def evaluate(r):
-        at_rule = FieldAtRule(pts, v, r, geometry)
+        at_rule = FieldAtRule(tri.vertices, v, r, tri.geometry)
         e0, e1 = at_rule.error_power(nodal, p)
         return [lp_root(e, p) for e in (e0, e1, at_rule.hessian_power(p))]
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
 from .geometry import (AREA_FLOOR, Triangle, _degenerate, edge_lengths,
-                       element_geometry, shape_quantities, signed_area)
-from .quadrature import read_only
+                       element_geometry, read_only, shape_quantities, signed_area)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,8 @@ it is the one evaluation kernel behind ``seminorm``, ``interp.error_report``
 and the mesh error functionals of ``fem``, and ``adaptive_values`` picks the
 rule of the first two when none is given.  When the field has a jet, the
 first derivative asked for takes value, gradient and Hessian from one jet
-call, and it reuses element geometry it is given.
+call.  Element geometry is never computed here: each caller passes the
+geometry its ``Triangle`` or ``Mesh`` holds.
 
 Seminorms follow the weighted convention
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSpec, InvalidExponent, UnsupportedDegree
-from .geometry import Triangle, element_geometry, signed_area
+from .geometry import Triangle, read_only
 
 MAX_DEGREE = 30
 # the adaptive choice of rule: first degree of the doubling loop, relative
@@ -59,14 +60,6 @@ def make_rule(degree: int) -> QuadratureRule:
     return _gauss_rule(degree)
 
 
-def read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a``, for arrays that are cached or shared;
-    ``a`` itself keeps its flags."""
-    v = a.view()
-    v.flags.writeable = False
-    return v
-
-
 @functools.cache
 def _gauss_rule(degree: int) -> QuadratureRule:
     nu = (degree + 3) // 2  # u-degree rises by 1 through the Jacobian factor
@@ -91,21 +84,19 @@ def p1_values(rule: QuadratureRule, nodal) -> np.ndarray:
     return (rule.points @ c.reshape(-1, 3).T).reshape(rule.points.shape[:1] + c.shape[:-1])
 
 
-def physical_points(rule: QuadratureRule, pts, areas=None):
-    """Map rule points into a Triangle or each triangle of a (..., 3, 2)
-    vertex array; returns (x, y, w), each (nq, ...), with the weights
-    scaled by |det J| = 2|S| so that sum(w_i f_i) integrates f over each
-    triangle.  ``areas`` are the |S| when the caller has them; else they
-    are computed here."""
-    v = pts.vertices if isinstance(pts, Triangle) else np.asarray(pts, dtype=float)
-    area = np.abs(signed_area(v)) if areas is None else areas
-    w = rule.weights.reshape((-1,) + (1,) * np.ndim(area)) * (2.0 * area)
+def physical_points(rule: QuadratureRule, pts, areas):
+    """Map rule points into each triangle of a (..., 3, 2) vertex array
+    with areas |S| (...); returns (x, y, w), each (nq, ...), with the
+    weights scaled by |det J| = 2|S| so that sum(w_i f_i) integrates f over
+    each triangle."""
+    v = np.asarray(pts, dtype=float)
+    w = rule.weights.reshape((-1,) + (1,) * np.ndim(areas)) * (2.0 * areas)
     return p1_values(rule, v[..., 0]), p1_values(rule, v[..., 1]), w
 
 
 def integrate(f, tri: Triangle, rule: QuadratureRule) -> float:
     """Integral over ``tri`` of f(x, y) (vectorized callable)."""
-    x, y, w = physical_points(rule, tri, tri.area)
+    x, y, w = physical_points(rule, tri.vertices, tri.area)
     return float(w @ np.asarray(f(x, y), dtype=float))
 
 
@@ -144,32 +135,26 @@ def lp_root(power, p: float) -> float:
 
 class FieldAtRule:
     """A field on the triangles of a (..., 3, 2) vertex array at the points
-    of one rule: element geometry, the physical points and the field's
-    value, gradient and Hessian there, each computed at most once, on first
-    use.
+    of one rule: the physical points and the field's value, gradient and
+    Hessian there, each computed at most once, on first use.
 
-    ``geometry``, the triangles' ``element_geometry`` when the caller has
-    it, is used as is, its areas for the weights.  When the field has a
-    jet, the first derivative asked for takes value, gradient and Hessian
-    from one jet call; a value asked for before any derivative comes from
-    the field's ``value``, which for the registry's fields is a view of the
-    jet with the same bits.
+    ``geometry`` is the triangles' ``element_geometry``, as the owning
+    ``Triangle`` or ``Mesh`` holds it; its areas scale the weights.  When
+    the field has a jet, the first derivative asked for takes value,
+    gradient and Hessian from one jet call; a value asked for before any
+    derivative comes from the field's ``value``, which for the registry's
+    fields is a view of the jet with the same bits.
     """
 
-    def __init__(self, pts, field, rule: QuadratureRule, geometry=None):
+    def __init__(self, pts, field, rule: QuadratureRule, geometry):
         self.pts = pts
         self.field = field
         self.rule = rule
-        self._geometry = geometry
-
-    @functools.cached_property
-    def geometry(self):
-        return element_geometry(self.pts) if self._geometry is None else self._geometry
+        self.geometry = geometry
 
     @functools.cached_property
     def points(self):
-        areas = None if self._geometry is None else self._geometry[0]
-        return physical_points(self.rule, self.pts, areas)
+        return physical_points(self.rule, self.pts, self.geometry[0])
 
     @functools.cached_property
     def jet(self):
@@ -272,7 +257,7 @@ def seminorm(expr, spec: SeminormSpec, tri: Triangle,
     ``expr`` must expose value/grad/hess evaluators as far as m requires.
     """
     def evaluate(r: QuadratureRule) -> list[float]:
-        at_rule = FieldAtRule(tri.vertices, expr, r)
+        at_rule = FieldAtRule(tri.vertices, expr, r, tri.geometry)
         if spec.m == 2:
             return [lp_root(at_rule.hessian_power(spec.p), spec.p)]
         fs = [at_rule.value] if spec.m == 0 else at_rule.grad

@@ -37,7 +37,8 @@ CASES = {
                              "--out", "out"],
     "interp_triangle": ["interp", "0,0", "1,0", "0.2,0.9", "--field", "expxy", "--p", "3",
                         "--out", "out"],
-    # err_1p / (R_K |v|_2) is about 1.2 here, above EMPIRICAL_CP = 1: exit 1
+    # err_1p / (R_K |v|_2) is about 1.2 here, above EMPIRICAL_CP = 1, so
+    # bound_satisfied is false; no theorem gives that constant: exit 0
     "interp_needle_inf": ["interp", "--needle", "0.1", "1.2", "--p", "inf",
                           "--quad-degree", "6"],
     "interp_needle_study_csv": ["interp", "--needle-study", "1.5", "--levels", "3",
@@ -47,8 +48,12 @@ CASES = {
     "constants_audit": ["constants", "--audit", "--right", "2", "--canonical", "2",
                         "--degree", "6", "--format", "both", "--out", "out"],
     "constants_babuska_aziz": ["constants", "--babuska-aziz"],
+    # a one-entry history: the uncertainty is NaN, serialized as "nan"
+    "constants_kind_d_one_degree": ["constants", "--kind", "D", "--degree", "4",
+                                    "0,0", "1,0", "0,1"],
     "mesh_crisscross": ["mesh", "--family", "crisscross", "--n", "4", "--out", "out"],
     "mesh_check_crlf": ["mesh", "--check", "square_crlf.txt"],
+    "mesh_lens": ["mesh", "--family", "lens", "--n", "3", "--out", "out"],
     "fem_svg": ["fem", "--levels", "2", "--n0", "4", "--svg", "--out", "out"],
     "fem_uniform_json": ["fem", "--family", "uniform", "--levels", "2", "--n0", "4",
                          "--format", "json", "--out", "out"],

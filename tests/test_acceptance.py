@@ -200,7 +200,7 @@ def test_criterion_09_classical_baseline():
 def test_criterion_10_infrastructure():
     # quadrature exactness through degree 20 against the factorial oracle
     rule = make_rule(20)
-    x, y, w = physical_points(rule, REF)
+    x, y, w = physical_points(rule, REF.vertices, REF.area)
     worst = 0.0
     for i in range(21):
         for j in range(21 - i):

@@ -45,6 +45,8 @@ class TestTriangleCommand:
         assert code == 2
         code, _ = run(capsys, "triangle", "0,0", "1,0", "zero,one")
         assert code == 2
+        code, _ = run(capsys, "triangle", "0,0,0", "1,0", "0,1")
+        assert code == 2
 
 
 @pytest.mark.parametrize("command", ["triangle", "interp", "constants"])
@@ -133,6 +135,17 @@ class TestInterpCommand:
         code, _ = run(capsys, "interp", "--field", "nope", "0,0", "1,0", "0,1")
         assert code == 2
 
+    @pytest.mark.parametrize("field, message", [
+        ("affine(1,2)", "affine takes 3 coefficients, got 2"),
+        ("poly:", "poly needs at least one coefficient"),
+    ], ids=["affine-two", "poly-empty"])
+    def test_malformed_field_exit_2(self, capsys, field, message):
+        code = cli.main(["interp", "--field", field, "0,0", "1,0", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("field", ["poly:nan", "poly:1,2,inf", "affine(nan,0,0)"])
     def test_non_finite_coefficient_exit_2(self, capsys, field):
         code = cli.main(["interp", "0,0", "1,0", "0,1", "--field", field])
@@ -152,6 +165,13 @@ class TestInterpCommand:
         monkeypatch.setattr(cli.interp, "error_report", fail_report)
         code, _ = run(capsys, "interp", "--field", "x2", "0,0", "1,0", "0,1")
         assert code == 1
+
+    def test_empirical_bound_away_from_p2_exit_0(self, capsys):
+        # err_1p / (R_K |v|_inf) is about 1.2, above EMPIRICAL_CP = 1, a
+        # constant no theorem gives: reported, but not a failed bound
+        code, out = run(capsys, "interp", "--needle", "0.1", "1.2", "--p", "inf")
+        assert code == 0
+        assert json.loads(out)["results"]["bound_satisfied"] is False
 
 
 class TestConstantsCommand:
@@ -386,6 +406,18 @@ def test_flag_made_useless_by_another_exit_2(argv, named, tmp_path, capsys):
     assert code == 2
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("usage error:") and named in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--kind", "C", "0,0", "1,0", "0,1"], "--kind 'C' not one of"),
+    (["fem", "--family", "lens"], "--family 'lens' not one of uniform, crisscross"),
+], ids=["constants-kind", "fem-family"])
+def test_value_outside_choices_exit_2(argv, message, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and message in captured.err
 
 
 def test_fem_svg_without_out_exit_2(capsys):

@@ -112,6 +112,11 @@ class TestDerived:
             2 * math.pi ** 2 * float(f.value(x, y)), rel=1e-13
         )
 
+    def test_neg_laplacian_needs_a_hessian(self):
+        bare = ScalarField(name="bare", value=lambda x, y: np.asarray(x))
+        with pytest.raises(UnknownField, match="bare has no Hessian"):
+            neg_laplacian(bare)
+
     def test_polynomial_gradient_hessian_exact(self):
         rng = np.random.default_rng(31)
         f = random_polynomial(rng, 4)

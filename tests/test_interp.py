@@ -237,17 +237,21 @@ class TestCallCounts:
         quadrature.seminorm(v, quadrature.SeminormSpec(0, 2.0), REF, quadrature.make_rule(8))
         assert calls == {"make_rule": 1, "value": 1}
 
-    @pytest.mark.parametrize("field, tri", [
-        (random_polynomial(np.random.default_rng(5), 4), REF),
-        (get_field("sinsin"), needle_triangle(2.0 ** -6, 1.5)),
+    @pytest.mark.parametrize("field, make", [
+        (random_polynomial(np.random.default_rng(5), 4), reference_triangle),
+        (get_field("sinsin"), lambda: needle_triangle(2.0 ** -6, 1.5)),
     ], ids=["one-rule", "adaptive"])
-    def test_element_geometry_once(self, monkeypatch, field, tri):
+    def test_element_geometry_once(self, monkeypatch, field, make):
         calls = record_calls(monkeypatch, geometry.element_geometry, np.shape)
-        # the metrics take the area the Triangle computed on construction
         areas = record_calls(monkeypatch, geometry.signed_area, np.shape)
+        tri = make()
+        assert calls == [] and areas == [(3, 2)]  # the area, on construction
+        # the triangle's geometry, built on first use: one element_geometry
+        # call and the signed_area inside it; the metrics take tri.area
         error_report(tri, field, 2.0)
-        assert calls == [(3, 2)]
-        assert areas == [(3, 2)]
+        assert calls == [(3, 2)] and areas == [(3, 2)] * 2
+        error_report(tri, field, 2.0)
+        assert calls == [(3, 2)] and areas == [(3, 2)] * 2
 
 
 class TestAgainstExactOracle:

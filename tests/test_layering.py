@@ -1,5 +1,5 @@
 """The package's import layering: geometry -> quadrature -> {interp, fem},
-and scipy imported only inside functions."""
+geometry -> mesh, and scipy imported only inside functions."""
 import ast
 from pathlib import Path
 
@@ -39,6 +39,26 @@ def test_fields_imports_only_errors():
 @pytest.mark.parametrize("upper", ["fem", "interp", "mesh"])
 def test_quadrature_below_its_users(upper):
     assert upper not in package_imports("quadrature")
+
+
+def test_mesh_does_not_import_quadrature():
+    # the element geometry and its read-only views live in geometry
+    assert "quadrature" not in package_imports("mesh")
+
+
+def test_quadrature_computes_no_geometry():
+    # each Triangle and Mesh owns its geometry and passes it in
+    tree = ast.parse((SRC / "quadrature.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "FieldAtRule" in names
+    assert not names & {"element_geometry", "signed_area"}
 
 
 def test_interp_does_not_import_fem():

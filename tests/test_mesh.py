@@ -36,6 +36,13 @@ class TestMeshObject:
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.vertices = m.vertices * 2
 
+    def test_triangle_arrays_and_geometry_read_only(self):
+        tri = Triangle((0.0, 0.0), (1.0, 0.0), (0.2, 0.7))
+        assert tri.vertices is tri.vertices and tri.geometry is tri.geometry
+        for a in (tri.vertices, tri.geometry[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
     def test_inputs_left_writable(self):
         v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         t = np.array([[0, 1, 2]])
@@ -110,6 +117,10 @@ class TestCrisscross:
         with pytest.raises(InvalidFamily):
             gen_crisscross_aniso(4, 2.5)
         gen_crisscross_aniso(4, 2.5, force=True)
+
+    def test_invalid_n(self):
+        with pytest.raises(InvalidFamily, match="n = 0 must be >= 1"):
+            gen_crisscross_aniso(0, 1.5)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_conformity(self, n):

@@ -42,7 +42,7 @@ class TestRules:
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 13, 20])
     def test_exactness_vs_factorial_oracle(self, degree):
         rule = make_rule(degree)
-        x, y, w = physical_points(rule, REF)
+        x, y, w = physical_points(rule, REF.vertices, REF.area)
         for i in range(degree + 1):
             for j in range(degree + 1 - i):
                 got = float(w @ (x ** i * y ** j))
@@ -71,7 +71,7 @@ class TestRules:
             except Exception:
                 continue
             exact = monomial_integrals(tri.vertices, 6)
-            x, y, w = physical_points(rule, tri)
+            x, y, w = physical_points(rule, tri.vertices, tri.area)
             for (i, j), val in exact.items():
                 got = float(w @ (x ** i * y ** j))
                 assert got == pytest.approx(float(val), rel=1e-12, abs=1e-15)
@@ -116,6 +116,10 @@ class TestSeminorms:
         with pytest.raises(InvalidExponent):
             SeminormSpec(1, 0.5)
 
+    def test_invalid_order(self):
+        with pytest.raises(InconsistentSpec, match="order m = 3"):
+            SeminormSpec(3, 2.0)
+
     def test_scaling_covariance(self):
         # |v o G|_{m,p,ref} = c^(m - 2/p) |v|_{m,p,c*ref} for G(x) = c x
         rng = np.random.default_rng(13)
@@ -154,7 +158,7 @@ class TestSeminorms:
         f = get_field("sinsin")
         tri = Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8))
         rule = make_rule(4)
-        x, y, _ = physical_points(rule, tri)
+        x, y, _ = physical_points(rule, tri.vertices, tri.area)
         want = max(float(np.max(np.abs(g))) for g in f.grad(x, y))
         got = seminorm(f, SeminormSpec(1, math.inf), tri, rule)
         assert got == want
@@ -234,10 +238,13 @@ class TestJetSelection:
         assert jetless.jet is None
         rule = make_rule(8)
         n_max = BLOCK_POINTS // len(rule.weights)
-        pts = gen_uniform(13).coords  # 338 triangles
+        mesh = gen_uniform(13)  # 338 triangles
+        pts = mesh.coords
         assert len(pts) > n_max
         for n in (n_max, n_max + 1):
-            with_jet, without = FieldAtRule(pts[:n], g, rule), FieldAtRule(pts[:n], jetless, rule)
+            geometry = tuple(a[:n] for a in mesh.geometry)
+            with_jet = FieldAtRule(pts[:n], g, rule, geometry)
+            without = FieldAtRule(pts[:n], jetless, rule, geometry)
             assert with_jet.hessian_power(2.0).tobytes() == without.hessian_power(2.0).tobytes()
             nodal = np.ones((n, 3))
             for a, b in zip(with_jet.error_power(nodal, 2.0), without.error_power(nodal, 2.0)):
