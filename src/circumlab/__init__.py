@@ -70,11 +70,9 @@ from .constants import (
     D2_REFERENCE,
     AuditEntry,
     AuditRecord,
-    ExponentHelpers,
     QuotientEstimate,
     a2_constant,
     babuska_aziz_root,
-    exponent_helpers,
     lemma_inequality_audit,
     rayleigh_A,
     rayleigh_B,

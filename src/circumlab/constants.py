@@ -11,7 +11,7 @@ therefore an upper bound of the true infimum.  The history over degrees
 4..N is non-increasing in exact arithmetic (nested subspaces); in floating
 point it can rise on flat triangles, because the Gram matrices square the
 conditioning of the derivative matrices (until the factored engine of
-ROADMAP item 1 replaces them).  The Babuska-Aziz constant is
+ROADMAP item 2 replaces them).  The Babuska-Aziz constant is
 the reciprocal of A_2 on the reference triangle and solves
 1/x + tan(1/x) = 0; known lower bounds for the quotients (derived from
 that constant and from the vertex-constrained second-order quotient D_2)
@@ -22,7 +22,11 @@ quadrature whose exactness degree covers the polynomial integrands;
 constraints are reduced by a rank-revealing SVD null space.  The mass
 matrix is exactly 2S * I, so A and D are standard symmetric eigenproblems
 scaled by 1/(2S) and only B is a pencil, with a condition gate.  The
-audit takes B and D from one set of Gram matrices per triangle.
+audit takes B and D from one set of Gram matrices per frame and solves
+each once, at the audit degree, with no history below it: in exact
+arithmetic, Cauchy interlacing on the nested subspaces makes the
+restricted condition number and the eigenvalue spread only worse as the
+degree rises, so the top-degree gates imply the lower-degree ones.
 
 Everything that does not depend on the triangle is built once per degree
 and kept as read-only arrays: the basis table at the rule points (which
@@ -40,13 +44,19 @@ from functools import cache
 import numpy as np
 
 from . import _basis
-from .errors import IllConditioned, InvalidExponent, NotApplicable, UnsupportedDegree
+from .errors import IllConditioned, NotApplicable, UnsupportedDegree
 from .geometry import Triangle, canonicalize, edge_lengths, metrics, read_only
 from .quadrature import make_rule
 
 # Published approximate value of the vertex-constrained second-order
 # quotient D_2 on the reference triangle (Liu-Kikuchi): 1/0.167.
 D2_REFERENCE = 1.0 / 0.167
+# Exponents of 2 in the longest-edge bounds at p = 2.  The paper's
+# piecewise formulas are phi(p) = 3/2 + 2/p and mu(p) = 2 + 2/p for
+# 1 <= p <= 2, phi(p) = 4 - 3/p and mu(p) = 4 - 2/p for 2 < p < inf, and
+# phi = mu = 4 at p = inf; the audit reads only their values at p = 2.
+_PHI_2 = 2.5
+_MU_2 = 3.0
 
 COND_LIMIT = 1e13
 # smallest trustworthy lambda_min / lambda_max of the reduced pencil: below
@@ -60,6 +70,7 @@ _ROOT_REL_TOL = 1e-12
 _AXIS_REL_TOL = 1e-9
 
 
+@cache
 def babuska_aziz_root() -> float:
     """Maximum positive solution x of 1/x + tan(1/x) = 0 (about 0.49291).
 
@@ -80,38 +91,6 @@ def babuska_aziz_root() -> float:
 def a2_constant() -> float:
     """A_2 on the reference triangle: reciprocal of the Babuska-Aziz root."""
     return 1.0 / babuska_aziz_root()
-
-
-@dataclass(frozen=True)
-class ExponentHelpers:
-    """Piecewise exponents entering the lower-bound constants.
-
-    tau and gamma are the Lp/l2 norm-equivalence exponents; phi and mu are
-    the exponents of 2 in the longest-edge bounds for the first- and
-    zeroth-order quotients.  All four are continuous at p = 2; at p = inf,
-    gamma follows its p -> inf limit (inf) and only appears in sup-norm
-    bounds through phi and mu, which are finite (both 4).
-    """
-
-    p: float
-    tau: float
-    gamma: float
-    phi: float
-    mu: float
-
-
-def exponent_helpers(p: float) -> ExponentHelpers:
-    if not p >= 1.0:
-        raise InvalidExponent(f"p = {p} below 1")
-    if math.isinf(p):
-        return ExponentHelpers(p=p, tau=0.0, gamma=math.inf, phi=4.0, mu=4.0)
-    if p <= 2.0:
-        return ExponentHelpers(
-            p=p, tau=1.0 - p / 2.0, gamma=0.0, phi=1.5 + 2.0 / p, mu=2.0 + 2.0 / p
-        )
-    return ExponentHelpers(
-        p=p, tau=0.0, gamma=p / 2.0 - 1.0, phi=4.0 - 3.0 / p, mu=4.0 - 2.0 / p
-    )
 
 
 @dataclass(frozen=True)
@@ -231,21 +210,23 @@ def _right_triangle_ordered(tri: Triangle) -> Triangle:
     )
 
 
-def _solve(num: np.ndarray, z: np.ndarray, den: np.ndarray | None = None) -> float:
-    """Smallest eigenvalue of the pencil (num, den), or of num alone, on
-    the span of ``z``, an orthonormal basis of a constrained subspace of
-    the leading len(z) basis functions."""
-    import scipy.linalg
-
-    k = len(z)
+def _restrict(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z^T m z: ``m`` on the span of ``z``, an orthonormal basis of a
+    constrained subspace of the leading len(z) basis functions."""
     if z.shape[1] == 0:
         raise NotApplicable("constraints eliminate the whole subspace")
-    a = z.T @ num[:k, :k] @ z
+    k = len(z)
+    return z.T @ m[:k, :k] @ z
+
+
+def _solve(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Smallest eigenvalue of the restricted pencil (a, b), or of a alone."""
+    import scipy.linalg
+
     a = 0.5 * (a + a.T)
-    if den is None:
+    if b is None:
         vals = scipy.linalg.eigh(a, eigvals_only=True)
     else:
-        b = z.T @ den[:k, :k] @ z
         cond = np.linalg.cond(b)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise IllConditioned(
@@ -268,10 +249,11 @@ def _estimate(tri: Triangle, kind: str, constraint: str, degree: int,
     """History of sqrt(lambda_min / ``mass``) of ``_solve`` over the
     subspace degrees: ``den`` is the denominator Gram matrix, or None when
     the denominator is the mass matrix ``mass`` * I."""
-    history = [
-        (d, math.sqrt(_solve(num, _null_space(degree, constraint, d), den) / mass))
-        for d in range(MIN_DEGREE, degree + 1)
-    ]
+    history = []
+    for d in range(MIN_DEGREE, degree + 1):
+        z = _null_space(degree, constraint, d)
+        b = None if den is None else _restrict(den, z)
+        history.append((d, math.sqrt(_solve(_restrict(num, z), b) / mass)))
     return QuotientEstimate(
         kind=kind,
         triangle=tri,
@@ -299,10 +281,14 @@ def rayleigh_A(tri: Triangle, edge_index: int = 1, degree: int = 12) -> Quotient
 
 
 def _b_and_d(tri: Triangle, degree: int) -> tuple[float, float]:
-    """The B and D estimates of ``tri`` from one set of Gram matrices."""
+    """The degree-``degree`` B and D values of ``tri``: one set of Gram
+    matrices, one restriction of G2 and one solve per quotient, with no
+    history below ``degree``."""
     two_s, g1, g2 = _grams(tri, degree)
-    return (_estimate(tri, "B", "vertices", degree, g2, g1).value,
-            _estimate(tri, "D", "vertices", degree, g2, mass=two_s).value)
+    z = _null_space(degree, "vertices", degree)
+    a = _restrict(g2, z)
+    return (math.sqrt(_solve(a, _restrict(g1, z))),
+            math.sqrt(_solve(a) / two_s))
 
 
 def rayleigh_B(tri: Triangle, degree: int = 12) -> QuotientEstimate:
@@ -366,10 +352,13 @@ def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
       the x-axis, circumradius R: B >= A_2/(2^phi(2) sqrt(3) R) and
       D >= D_2/(2^mu(2) * 3 * R^2).
 
-    D_2 is ``D2_REFERENCE``.
+    D_2 is ``D2_REFERENCE``.  Each frame's B and D are solved once, at
+    ``degree``: the values are the last entries of ``rayleigh_B`` and
+    ``rayleigh_D`` on that frame, bit for bit, and by interlacing the
+    lower-degree gates of those histories refuse nothing that the
+    top-degree gates accept.
     """
     a2 = a2_constant()
-    helpers = exponent_helpers(2.0)
     entries: list[AuditEntry] = []
 
     try:
@@ -390,8 +379,8 @@ def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
     )
     r = metrics(canon_unit).R_K
     b_est, d_est = _b_and_d(canon_unit, degree)
-    bound_b = a2 / (2.0 ** helpers.phi * math.sqrt(3.0) * r)
-    bound_d = D2_REFERENCE / (2.0 ** helpers.mu * 3.0 * r * r)
+    bound_b = a2 / (2.0 ** _PHI_2 * math.sqrt(3.0) * r)
+    bound_d = D2_REFERENCE / (2.0 ** _MU_2 * 3.0 * r * r)
     entries.append(AuditEntry("B_longest_edge", b_est, bound_b, b_est >= bound_b))
     entries.append(AuditEntry("D_longest_edge", d_est, bound_d, d_est >= bound_d))
     return AuditRecord(triangle=tri, degree=degree, entries=entries)

@@ -15,12 +15,17 @@ anywhere with
     python tests/golden/regen.py
 
 A change that regenerates the corpus names every file it changed in
-CHANGES.md.
+CHANGES.md.  ``python tests/golden/regen.py --check`` reruns every case and
+writes nothing: it prints each file that would change with the largest
+relative change of any number in it, and exits 1 if any file would change.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,6 +52,10 @@ CASES = {
                          "--out", "out"],
     "constants_audit": ["constants", "--audit", "--right", "2", "--canonical", "2",
                         "--degree", "6", "--format", "both", "--out", "out"],
+    # the CLI's default audit degree, 12
+    "constants_audit_default_degree": ["constants", "--audit", "--right", "3",
+                                       "--canonical", "3", "--format", "both",
+                                       "--out", "out"],
     "constants_babuska_aziz": ["constants", "--babuska-aziz"],
     # a one-entry history: the uncertainty is NaN, serialized as "nan"
     "constants_kind_d_one_degree": ["constants", "--kind", "D", "--degree", "4",
@@ -91,7 +100,56 @@ def recorded(case: Path) -> dict[str, bytes]:
             for p in sorted(case.rglob("*")) if p.is_file() and p.name != "argv.json"}
 
 
-def main() -> None:
+# a decimal or exponent-form number, or a float's non-finite spelling
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\b(?:nan|inf)\b")
+
+
+def largest_relative_change(old: bytes, new: bytes) -> float | None:
+    """The largest |a - b| / max(|a|, |b|) over the numbers of ``old`` and
+    ``new`` taken in order, or None when the text around them differs."""
+    if NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return None
+    worst = 0.0
+    for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
+        x, y = float(a), float(b)
+        if a != b and x != y:
+            finite = math.isfinite(x) and math.isfinite(y)
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
+    return worst
+
+
+def check() -> int:
+    """Rerun every case against its directory; print what would change."""
+    changed = []
+    listed = {HERE / name for name in CASES}
+    for case in sorted(p.parent for p in HERE.glob("*/argv.json")):
+        if case not in listed:
+            changed.append(f"{case.name}: recorded but not in CASES")
+    for name, argv in CASES.items():
+        case = HERE / name
+        old = recorded(case) if case.is_dir() else {}
+        new = run_case(argv)
+        argv_file = case / "argv.json"
+        if not argv_file.is_file() or json.loads(argv_file.read_text()) != argv:
+            changed.append(f"{name}/argv.json: differs from CASES")
+        for rel in sorted(old.keys() | new.keys()):
+            if rel not in new or rel not in old:
+                changed.append(f"{name}/{rel}: {'no longer written' if rel in old else 'new'}")
+            elif old[rel] != new[rel]:
+                rel_change = largest_relative_change(old[rel], new[rel])
+                changed.append(f"{name}/{rel}: " + (
+                    "text changed" if rel_change is None
+                    else f"largest relative change {rel_change:.3g}"))
+    print("\n".join(changed) if changed else f"{len(CASES)} cases, no change")
+    return 1 if changed else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="rerun every case and report changes; write nothing")
+    if parser.parse_args().check:
+        return check()
     for case in HERE.iterdir():
         if (case / "argv.json").is_file():
             shutil.rmtree(case)
@@ -102,7 +160,8 @@ def main() -> None:
             (case / rel).parent.mkdir(parents=True, exist_ok=True)
             (case / rel).write_bytes(data)
         print(f"{name}: exit {(case / 'exit_code').read_text().strip()}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -51,6 +51,7 @@ def report(num: int, ok: bool, detail: str):
 def test_criterion_01_babuska_aziz_root():
     times = []
     for _ in range(5):
+        babuska_aziz_root.cache_clear()  # time the bisection, not the cache
         t0 = time.perf_counter()
         x = babuska_aziz_root()
         times.append(time.perf_counter() - t0)

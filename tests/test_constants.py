@@ -8,7 +8,6 @@ from circumlab.constants import (
     D2_REFERENCE,
     a2_constant,
     babuska_aziz_root,
-    exponent_helpers,
     lemma_inequality_audit,
     rayleigh_A,
     rayleigh_B,
@@ -16,15 +15,15 @@ from circumlab.constants import (
 )
 from circumlab.errors import (
     IllConditioned,
-    InvalidExponent,
     NotApplicable,
     UnsupportedDegree,
 )
-from circumlab.geometry import Triangle, metrics, reference_triangle
+from circumlab.geometry import Triangle, canonicalize, metrics, reference_triangle
 from oracles import quotient_50_digits
 
 REF = reference_triangle()
 GENERIC = Triangle((0.1, -0.2), (1.2, 0.1), (0.3, 0.9))
+EQUILATERAL = Triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
 
 
 def assert_history_nonincreasing(est, slack=1e-10):
@@ -273,11 +272,26 @@ class TestGramSharing:
 
     @pytest.mark.parametrize("tri, builds", [
         (REF, 2),  # the right-legs frame and the canonical frame
-        (Triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)), 1),
+        (EQUILATERAL, 1),
     ], ids=["right", "equilateral"])
     def test_audit_builds_once_per_frame(self, gram_calls, tri, builds):
         lemma_inequality_audit(tri, 8)
         assert gram_calls == [8] * builds
+
+    @pytest.mark.parametrize("tri, solves", [(REF, 4), (EQUILATERAL, 2)],
+                             ids=["right", "equilateral"])
+    def test_audit_solves_once_per_quotient_and_frame(self, monkeypatch, tri, solves):
+        # B and D at the audit degree only, with no history below it
+        calls = []
+        solve = constants._solve
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(constants, "_solve", counting)
+        lemma_inequality_audit(tri, 8)
+        assert len(calls) == solves
 
     def test_mass_denominator_skips_condition_number(self, monkeypatch):
         # the mass Gram is 2S * I, whose condition number is 1
@@ -318,8 +332,7 @@ class TestAudit:
         assert byname["D_longest_edge"].passed
 
     def test_right_family_skipped_when_not_right(self):
-        equil = Triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-        rec = lemma_inequality_audit(equil, degree=6)
+        rec = lemma_inequality_audit(EQUILATERAL, degree=6)
         assert {e.lemma for e in rec.entries} == {"B_longest_edge", "D_longest_edge"}
 
     def test_json_round_trip_fields(self):
@@ -327,6 +340,52 @@ class TestAudit:
         d = rec.to_dict()
         assert set(d) == {"triangle", "degree", "entries", "all_pass"}
         assert set(d["entries"][0]) == {"lemma", "computed", "bound", "pass"}
+
+    @pytest.mark.parametrize("degree", [4, 8, 12])
+    @pytest.mark.parametrize("tri", [
+        REF,
+        EQUILATERAL,
+        Triangle((0, 0), (1.62, 0), (0, 0.12)),
+        Triangle((-1, 0), (1, 0), (0.6, 0.8)),  # canonical s = 0.6, eta = 1
+        Triangle((-1, 0), (1, 0), (0.3, 0.05)),
+    ], ids=["reference", "equilateral", "right-1.62x0.12", "canonical-0.6-1",
+            "canonical-flat"])
+    def test_entries_are_the_top_of_the_histories(self, tri, degree):
+        # the audit's single solve per quotient is the last history entry
+        # of rayleigh_B / rayleigh_D on the same frame, bit for bit
+        form = canonicalize(tri)
+        frames = {"longest_edge": Triangle((-1, 0), (1, 0), (form.s, form.eta * form.t))}
+        try:
+            frames["right_legs"] = constants._right_triangle_ordered(tri)
+        except NotApplicable:
+            pass
+        rec = lemma_inequality_audit(tri, degree)
+        assert len(rec.entries) == 2 * len(frames)
+        for e in rec.entries:
+            kind, family = e.lemma.split("_", 1)
+            estimate = {"B": rayleigh_B, "D": rayleigh_D}[kind](frames[family], degree)
+            assert e.computed == estimate.value
+
+    # a fixed grid: a point where the audit and the histories disagree is
+    # a finding to keep here, not a point to drop
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("t", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6])
+    def test_refuses_where_the_histories_refuse(self, s, t):
+        # the top-degree gates imply the lower-degree ones (interlacing on
+        # nested subspaces), so solving at degree 8 alone refuses exactly
+        # where some degree of the history does
+        tri = Triangle((-1, 0), (1, 0), (s, t))
+
+        def refuses(run):
+            try:
+                run()
+            except IllConditioned:
+                return True
+            return False
+
+        history = (refuses(lambda: rayleigh_B(tri, 8))
+                   or refuses(lambda: rayleigh_D(tri, 8)))
+        assert refuses(lambda: lemma_inequality_audit(tri, 8)) == history
 
     def test_ill_conditioned_raises(self):
         sliver = Triangle((-1, 0), (1, 0), (0.0, 1e-6))
@@ -342,34 +401,3 @@ class TestAudit:
         # moderately flat shapes still compute fine
         est = rayleigh_D(Triangle((-1, 0), (1, 0), (0.0, 0.05)), 8)
         assert est.value > 1.0
-
-
-class TestExponentHelpers:
-    def test_break_point(self):
-        h = exponent_helpers(2.0)
-        assert (h.tau, h.gamma, h.phi, h.mu) == (0.0, 0.0, 2.5, 3.0)
-
-    def test_p_one(self):
-        h = exponent_helpers(1.0)
-        assert (h.tau, h.gamma, h.phi, h.mu) == (0.5, 0.0, 3.5, 4.0)
-
-    def test_p_four(self):
-        h = exponent_helpers(4.0)
-        assert (h.tau, h.gamma, h.phi, h.mu) == (0.0, 1.0, 3.25, 3.5)
-
-    def test_p_infinity(self):
-        h = exponent_helpers(math.inf)
-        assert h.tau == 0.0
-        assert h.phi == 4.0
-        assert h.mu == 4.0
-        assert math.isinf(h.gamma)
-
-    def test_continuity_at_two(self):
-        lo = exponent_helpers(2.0 - 1e-9)
-        hi = exponent_helpers(2.0 + 1e-9)
-        for attr in ("tau", "gamma", "phi", "mu"):
-            assert getattr(lo, attr) == pytest.approx(getattr(hi, attr), abs=1e-8)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidExponent):
-            exponent_helpers(0.5)

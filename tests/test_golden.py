@@ -3,11 +3,12 @@
 give the recorded exit code, stdout, stderr and ``--out`` files.
 ``golden/regen.py`` rewrites the corpus."""
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from golden.regen import CASES, HERE, recorded, run_case
+from golden.regen import CASES, HERE, largest_relative_change, recorded, run_case
 
 CASE_DIRS = sorted(p.parent for p in HERE.glob("*/argv.json"))
 
@@ -30,3 +31,12 @@ def test_report_bytes(case):
                          ids=lambda case: case.name)
 def test_report_bytes_under_two_threads(case):
     assert run_case(_argv(case), threads=2) == recorded(case)
+
+
+def test_largest_relative_change():
+    assert largest_relative_change(b"x 1.0 nan -inf", b"x 1.0 nan -inf") == 0.0
+    assert largest_relative_change(b"[1e-3, 2]", b"[1.1e-3, 2]") == pytest.approx(1 / 11)
+    assert largest_relative_change(b"0", b"0.0") == 0.0
+    assert largest_relative_change(b"v nan", b"v 2") == math.inf
+    assert largest_relative_change(b"v -inf", b"v inf") == math.inf
+    assert largest_relative_change(b"pass 1", b"fail 1") is None
