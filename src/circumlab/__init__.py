@@ -42,7 +42,6 @@ from .geometry import (
     TriangleMetrics,
     canonicalize,
     circumradius,
-    circumradius_identity_check,
     condition_flags,
     edge_lengths_and_area,
     kobayashi_constant,

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _basis
 from .errors import IllConditioned, NotApplicable, UnsupportedDegree
-from .geometry import Triangle, canonicalize, edge_lengths, metrics, read_only
+from .geometry import Triangle, canonicalize, metrics, read_only
 from .quadrature import make_rule
 
 # Published approximate value of the vertex-constrained second-order
@@ -196,7 +196,7 @@ def _right_triangle_ordered(tri: Triangle) -> Triangle:
     The triangle must have its right angle between axis-parallel legs.
     """
     v = [tri.p1, tri.p2, tri.p3]
-    tol = _AXIS_REL_TOL * max(edge_lengths(tri.vertices))
+    tol = _AXIS_REL_TOL * max(tri.edges)
     for i in range(3):
         c = v[i]
         others = [v[(i + 1) % 3], v[(i + 2) % 3]]

@@ -29,7 +29,6 @@ from .errors import DegenerateTriangle, InvalidFamily, InvalidThreshold
 AREA_FLOOR = 1e-14
 
 _SQRT3 = math.sqrt(3.0)
-_IDENTITY_REL_TOL = 1e-12
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -43,15 +42,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Triangle:
     """Non-degenerate triangle; vertex order normalized to counterclockwise.
-    ``area``, the (positive) signed area, is computed once, on construction;
-    ``vertices`` and ``geometry`` once, on first use, as read-only arrays.
-    A non-finite coordinate raises DegenerateTriangle before any arithmetic,
-    so it leaves no numpy warning."""
+    ``area``, the (positive) signed area, and ``edges``, the edge lengths
+    (A, B, C) opposite p1, p2, p3, are computed once, on construction, for
+    the degeneracy test; ``vertices`` and ``geometry`` once, on first use,
+    as read-only arrays.  A non-finite coordinate raises DegenerateTriangle
+    before any arithmetic, so it leaves no numpy warning."""
 
     p1: tuple[float, float]
     p2: tuple[float, float]
     p3: tuple[float, float]
     area: float = field(init=False, repr=False, compare=False)
+    edges: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p1 = (float(self.p1[0]), float(self.p1[1]))
@@ -62,7 +63,8 @@ class Triangle:
         v = np.array([p1, p2, p3])
         with np.errstate(over="ignore"):  # an overflow is what the test detects
             s = signed_area(v)
-            degenerate = _degenerate(*edge_lengths(v), np.abs(s))
+            a, b, c = map(float, edge_lengths(v))
+            degenerate = _degenerate(a, b, c, np.abs(s))
         if degenerate:
             raise DegenerateTriangle(
                 f"area {abs(s):.3e} below floor {AREA_FLOOR:g}*h^2 "
@@ -70,12 +72,16 @@ class Triangle:
                 f"for vertices {p1}, {p2}, {p3}"
             )
         if s < 0.0:
+            # the edges opposite p2 and p3 trade places; each length is the
+            # hypot of a negated difference, which has the same bits
             p2, p3 = p3, p2
+            b, c = c, b
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "p3", p3)
         # swapping two vertices negates the signed area exactly
         object.__setattr__(self, "area", float(abs(s)))
+        object.__setattr__(self, "edges", (a, b, c))
 
     @cached_property
     def vertices(self) -> np.ndarray:
@@ -208,7 +214,7 @@ def shape_quantities(A, B, C, S):
 def metrics(tri: Triangle) -> TriangleMetrics:
     """All metric quantities of ``tri`` (edges, area, radii, angles, C(K)),
     as the one-row case of ``shape_quantities``."""
-    A, B, C = (float(x) for x in edge_lengths(tri.vertices))
+    A, B, C = tri.edges
     S = tri.area
     h, rho, R, ck, angles = shape_quantities(A, B, C, S)
     return TriangleMetrics(
@@ -285,12 +291,11 @@ def canonicalize(tri: Triangle) -> CanonicalForm:
     (0, sqrt(3)] because the baseline is the longest edge.
     """
     v = [tri.p1, tri.p2, tri.p3]
-    edges = edge_lengths(tri.vertices)
-    lengths = [float(e) for e in edges]
+    lengths = tri.edges
     lmax = max(lengths)
     candidates = [i for i in range(3) if lengths[i] == lmax]
     if len(candidates) > 1:
-        angs = shape_quantities(*edges, tri.area)[4]
+        angs = shape_quantities(*lengths, tri.area)[4]
         amax = max(angs[i] for i in candidates)
         candidates = [i for i in candidates if angs[i] == amax]
     i = min(candidates)
@@ -315,13 +320,6 @@ def canonicalize(tri: Triangle) -> CanonicalForm:
     X = math.sqrt(a * a * eta * eta + b * b)
     Y = math.sqrt(a * a + b * b * eta * eta)
     return CanonicalForm(s=s, t=t, eta=min(eta, _SQRT3), a=a, b=b, X=X, Y=Y, ratio=L / 2.0)
-
-
-def circumradius_identity_check(tri: Triangle) -> bool:
-    """True iff ratio * X*Y/eta reproduces R_K to _IDENTITY_REL_TOL relative."""
-    form = canonicalize(tri)
-    r_k = metrics(tri).R_K
-    return abs(form.ratio * form.canonical_circumradius - r_k) <= _IDENTITY_REL_TOL * r_k
 
 
 def needle_triangle(h: float, alpha: float) -> Triangle:

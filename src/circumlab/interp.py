@@ -5,6 +5,11 @@ apexes.  Error reports compare |v - I v|_{1,p,K} against the two explicit
 bounds available at p = 2 (Kobayashi's constant C(K) and the circumradius
 R_K) and record the raw quotient for other exponents, where the sharp
 constant is only known to exist.
+
+``error_report`` takes v at the apexes from the first rule's
+``FieldAtRule.nodal``, so one field call per rule gives the interpolant and
+every integrand, and it reads the triangle's area and edge lengths from the
+``Triangle`` that computed them on construction.
 """
 from __future__ import annotations
 
@@ -38,19 +43,18 @@ class AffineFunction:
         return (self.c0, self.cx, self.cy)
 
 
-def _interpolant(tri: Triangle, v: ScalarField):
-    """v at the vertices of ``tri`` and the gradient (cx, cy) of I_h v,
-    from the triangle's hat gradients."""
-    pts = tri.vertices
-    nodal = np.asarray(v.value(pts[:, 0], pts[:, 1]), dtype=float)
+def _gradient(tri: Triangle, nodal: np.ndarray) -> tuple[float, float]:
+    """The gradient (cx, cy) of the P1 function with vertex values
+    ``nodal`` on ``tri``, from the triangle's hat gradients."""
     _, gx, gy = tri.geometry
-    return nodal, float(nodal @ gx), float(nodal @ gy)
+    return float(nodal @ gx), float(nodal @ gy)
 
 
 def p1_interpolate(tri: Triangle, v: ScalarField) -> AffineFunction:
     """Affine function matching v at the three apexes."""
     pts = tri.vertices
-    nodal, cx, cy = _interpolant(tri, v)
+    nodal = np.asarray(v.value(pts[:, 0], pts[:, 1]), dtype=float)
+    cx, cy = _gradient(tri, nodal)
     c0 = float(np.mean(nodal - cx * pts[:, 0] - cy * pts[:, 1]))
     return AffineFunction(c0=c0, cx=cx, cy=cy)
 
@@ -113,15 +117,20 @@ def error_report(
     The one-element case of the mesh error functionals, on the triangle's
     own geometry.  ``rule`` fixes the points at every p; without it
     ``adaptive_values`` picks one rule for all three seminorms, as it does
-    for ``quadrature.seminorm``.
+    for ``quadrature.seminorm``.  The vertex values of I_h v are the first
+    rule's ``FieldAtRule.nodal``, so they come from the same field call as
+    v at its points, and the edge lengths are the triangle's own.
     """
     if not p >= 1.0:
         raise InvalidExponent(f"p = {p} below 1")
     m = metrics(tri)
-    nodal, cx, cy = _interpolant(tri, v)
+    nodal = None
 
     def evaluate(r):
+        nonlocal nodal
         at_rule = FieldAtRule(tri.vertices, v, r, tri.geometry)
+        if nodal is None:  # the first rule: one field call for both
+            nodal = at_rule.nodal
         e0, e1 = at_rule.error_power(nodal, p)
         return [lp_root(e, p) for e in (e0, e1, at_rule.hessian_power(p))]
 
@@ -129,6 +138,7 @@ def error_report(
         err_0p, err_1p, semi_2p = evaluate(rule)
     else:
         err_0p, err_1p, semi_2p = adaptive_values(evaluate, p, v.degree)
+    cx, cy = _gradient(tri, nodal)
     if math.isinf(p):
         err_full = max(err_0p, err_1p)
         ih_1p = max(abs(cx), abs(cy))

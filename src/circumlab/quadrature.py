@@ -12,8 +12,9 @@ it is the one evaluation kernel behind ``seminorm``, ``interp.error_report``
 and the mesh error functionals of ``fem``, and ``adaptive_values`` picks the
 rule of the first two when none is given.  When the field has a jet, the
 first derivative asked for takes value, gradient and Hessian from one jet
-call.  Element geometry is never computed here: each caller passes the
-geometry its ``Triangle`` or ``Mesh`` holds.
+call, and the values at the triangles' vertices (``nodal``), when asked
+for first, come from that same call.  Element geometry is never computed
+here: each caller passes the geometry its ``Triangle`` or ``Mesh`` holds.
 
 Seminorms follow the weighted convention
 
@@ -136,14 +137,21 @@ def lp_root(power, p: float) -> float:
 class FieldAtRule:
     """A field on the triangles of a (..., 3, 2) vertex array at the points
     of one rule: the physical points and the field's value, gradient and
-    Hessian there, each computed at most once, on first use.
+    Hessian there, and its values at the triangles' own vertices
+    (``nodal``), each computed at most once, on first use.
 
     ``geometry`` is the triangles' ``element_geometry``, as the owning
     ``Triangle`` or ``Mesh`` holds it; its areas scale the weights.  When
     the field has a jet, the first derivative asked for takes value,
     gradient and Hessian from one jet call; a value asked for before any
     derivative comes from the field's ``value``, which for the registry's
-    fields is a view of the jet with the same bits.
+    fields is a view of the jet with the same bits.  ``nodal`` asked for
+    before any of them rides on that same call: the field is evaluated
+    once at the rule points followed by the vertices, with the jet when it
+    has one, else with ``value``, and the rule-point part is kept as
+    ``jet`` or ``value``.  The evaluators work point by point, or pad as
+    ``fields._polyval`` does, so each point gets the bits it would get
+    alone.
     """
 
     def __init__(self, pts, field, rule: QuadratureRule, geometry):
@@ -167,6 +175,28 @@ class FieldAtRule:
             return np.asarray(self.jet[0], dtype=float)
         x, y, _ = self.points
         return np.asarray(self.field.value(x, y), dtype=float)
+
+    @functools.cached_property
+    def nodal(self) -> np.ndarray:
+        """The field's values at the vertices, (..., 3)."""
+        vx, vy = self.pts[..., 0], self.pts[..., 1]
+        if "jet" in self.__dict__ or "value" in self.__dict__:
+            return np.asarray(self.field.value(vx, vy), dtype=float)
+        x, y, _ = self.points
+        n = x.size
+
+        def at_rule(a):  # the rule-point part of an array over both
+            return a[:n].reshape(x.shape)
+
+        xs = np.concatenate((x.ravel(), vx.ravel()))
+        ys = np.concatenate((y.ravel(), vy.ravel()))
+        if getattr(self.field, "jet", None) is None:
+            v = np.asarray(self.field.value(xs, ys), dtype=float)
+            self.value = at_rule(v)
+        else:
+            v, g, h = self.field.jet(xs, ys)
+            self.jet = (at_rule(v), tuple(map(at_rule, g)), tuple(map(at_rule, h)))
+        return np.asarray(v, dtype=float)[n:].reshape(vx.shape)
 
     def _derivative(self, kind: str):
         fn = getattr(self.field, kind, None)

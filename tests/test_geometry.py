@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumlab.errors import DegenerateTriangle, InvalidFamily, InvalidThreshold
 from circumlab.geometry import (
@@ -10,14 +12,15 @@ from circumlab.geometry import (
     Triangle,
     canonicalize,
     circumradius,
-    circumradius_identity_check,
     condition_flags,
+    edge_lengths,
     edge_lengths_and_area,
     kobayashi_constant,
     metrics,
     needle_triangle,
     random_triangles,
     reference_triangle,
+    shape_quantities,
 )
 from oracles import circumradius_and_kobayashi_sq
 
@@ -94,6 +97,31 @@ class TestMetrics:
         t = Triangle((0, 0), (0, 1), (1, 0))  # clockwise input
         assert t.area > 0
         assert t.p2 == (1.0, 0.0)
+
+
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+_point = st.tuples(_coord, _coord)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_point, _point, _point)
+def test_edges_are_the_edge_lengths_of_the_vertices(p1, p2, p3):
+    """``Triangle.edges``, kept from construction, has the bits that
+    ``edge_lengths`` gives on the stored vertices, for counterclockwise and
+    clockwise input alike, and ``metrics`` is the one-row
+    ``shape_quantities`` of those lengths."""
+    try:
+        tris = [Triangle(p1, p2, p3), Triangle(p1, p3, p2)]  # one of each order
+    except DegenerateTriangle:
+        return
+    for tri in tris:
+        want = tuple(float(e).hex() for e in edge_lengths(tri.vertices))
+        assert tuple(e.hex() for e in tri.edges) == want
+        m = metrics(tri)
+        h, rho, r, ck, angles = shape_quantities(*tri.edges, tri.area)
+        assert (m.A, m.B, m.C, m.S) == (*tri.edges, tri.area)
+        assert (m.h_K, m.rho_K, m.R_K, m.C_K) == (h, rho, r, ck)
+        assert (m.theta_min, m.theta_max) == (min(angles), max(angles))
 
 
 class TestKobayashiCorollary:
@@ -231,12 +259,14 @@ class TestCanonicalize:
                 assert g == pytest.approx(w, rel=1e-12)
 
     def test_circumradius_identity(self):
-        assert circumradius_identity_check(reference_triangle())
-        assert circumradius_identity_check(needle_triangle(0.25, 1.9))
+        # ratio * X*Y/eta reproduces R_K to 1e-12 relative
         rng = np.random.default_rng(29)
-        assert all(
-            circumradius_identity_check(random_triangle(rng)) for _ in range(1000)
-        )
+        tris = [reference_triangle(), needle_triangle(0.25, 1.9)]
+        tris += [random_triangle(rng) for _ in range(1000)]
+        for tri in tris:
+            form = canonicalize(tri)
+            r_k = metrics(tri).R_K
+            assert abs(form.ratio * form.canonical_circumradius - r_k) <= 1e-12 * r_k
 
     def test_tie_break_deterministic(self):
         # two edges tie for longest: the edge opposite the lowest vertex

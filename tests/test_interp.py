@@ -196,15 +196,15 @@ class TestCallCounts:
     def test_polynomial_one_rule_one_evaluation_each(self, monkeypatch):
         calls, v = self.counted(random_polynomial(np.random.default_rng(3), 4), monkeypatch)
         error_report(Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8)), v, 2.0)
-        # value: once at the vertices, once at the rule points
-        assert calls == {"make_rule": 1, "value": 2, "grad": 1, "hess": 1}
+        # value: once, at the rule points and the vertices together
+        assert calls == {"make_rule": 1, "value": 1, "grad": 1, "hess": 1}
 
     def test_adaptive_each_field_once_per_rule(self, monkeypatch):
         calls, v = self.counted(get_field("sinsin"), monkeypatch)
         error_report(needle_triangle(2.0 ** -6, 1.5), v, 2.0)
         assert 2 <= calls["make_rule"] <= 3
         assert calls["grad"] == calls["hess"] == calls["make_rule"]
-        assert calls["value"] == calls["make_rule"] + 1
+        assert calls["value"] == calls["make_rule"]
 
     def counted_with_jet(self, field, monkeypatch):
         """The field built anew from counting evaluators and a counting jet,
@@ -222,15 +222,14 @@ class TestCallCounts:
         calls, v = self.counted_with_jet(
             random_polynomial(np.random.default_rng(3), 4), monkeypatch)
         error_report(Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8)), v, 2.0)
-        # value once at the vertices; everything at the rule points from the jet
-        assert calls == {"make_rule": 1, "value": 1, "jet": 1}
+        # the vertices and the rule points, everything from one jet call
+        assert calls == {"make_rule": 1, "jet": 1}
 
     def test_adaptive_one_jet_call_per_rule(self, monkeypatch):
         calls, v = self.counted_with_jet(get_field("sinsin"), monkeypatch)
         error_report(needle_triangle(2.0 ** -6, 1.5), v, 2.0)
         assert 2 <= calls["make_rule"] <= 3
-        assert calls == {"make_rule": calls["make_rule"], "value": 1,
-                         "jet": calls["make_rule"]}
+        assert calls == {"make_rule": calls["make_rule"], "jet": calls["make_rule"]}
 
     def test_values_only_seminorm_skips_the_jet(self, monkeypatch):
         calls, v = self.counted_with_jet(get_field("sinsin"), monkeypatch)
@@ -244,14 +243,17 @@ class TestCallCounts:
     def test_element_geometry_once(self, monkeypatch, field, make):
         calls = record_calls(monkeypatch, geometry.element_geometry, np.shape)
         areas = record_calls(monkeypatch, geometry.signed_area, np.shape)
+        edges = record_calls(monkeypatch, geometry.edge_lengths, np.shape)
         tri = make()
-        assert calls == [] and areas == [(3, 2)]  # the area, on construction
+        # the area and the edge lengths, on construction
+        assert calls == [] and areas == [(3, 2)] and edges == [(3, 2)]
         # the triangle's geometry, built on first use: one element_geometry
-        # call and the signed_area inside it; the metrics take tri.area
+        # call and the signed_area inside it; the metrics take tri.area and
+        # tri.edges
         error_report(tri, field, 2.0)
-        assert calls == [(3, 2)] and areas == [(3, 2)] * 2
+        assert calls == [(3, 2)] and areas == [(3, 2)] * 2 and edges == [(3, 2)]
         error_report(tri, field, 2.0)
-        assert calls == [(3, 2)] and areas == [(3, 2)] * 2
+        assert calls == [(3, 2)] and areas == [(3, 2)] * 2 and edges == [(3, 2)]
 
 
 class TestAgainstExactOracle:

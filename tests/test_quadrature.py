@@ -250,3 +250,40 @@ class TestJetSelection:
             for a, b in zip(with_jet.error_power(nodal, 2.0), without.error_power(nodal, 2.0)):
                 assert a.tobytes() == b.tobytes()
         assert calls == [n * len(rule.weights) for n in (n_max, n_max + 1)]
+
+
+@pytest.mark.parametrize("name", ["poly:1,2,3,4,5,6,7,8,9,10", "sinsin", "expxy"])
+@pytest.mark.parametrize("with_jet", [True, False], ids=["jet", "jetless"])
+def test_nodal_rides_on_the_rule_point_call(name, with_jet):
+    """``FieldAtRule.nodal`` asked for first evaluates the field once, at
+    the rule points and the vertices together; its vertex values and its
+    rule-point part have the bits of separate calls, and asked for after a
+    rule-point evaluation it gives the same vertex values."""
+    f = get_field(name)
+    if not with_jet:
+        f = ScalarField(f.name, f.value, f.grad, f.hess, f.degree)
+    calls = []
+
+    def counting(fn):
+        def wrapper(x, y):
+            calls.append(np.shape(x))
+            return fn(x, y)
+        return wrapper
+
+    g = (ScalarField(f.name, f.value, f.grad, f.hess, f.degree, counting(f.jet)) if with_jet
+         else ScalarField(f.name, counting(f.value), f.grad, f.hess, f.degree))
+    mesh = gen_uniform(3)
+    pts, rule = mesh.coords, make_rule(6)
+    first = FieldAtRule(pts, g, rule, mesh.geometry)
+    nodal = first.nodal
+    n_rule = len(rule.weights) * len(pts)
+    assert calls == [(n_rule + pts.size // 2,)]
+    alone = FieldAtRule(pts, f, rule, mesh.geometry)
+    assert first.value.tobytes() == alone.value.tobytes()
+    assert first.hessian_power(2.0).tobytes() == alone.hessian_power(2.0).tobytes()
+    for a, b in zip(first.error_power(nodal, 2.0), alone.error_power(nodal, 2.0)):
+        assert a.tobytes() == b.tobytes()
+    assert len(calls) == 1
+    want = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
+    assert nodal.shape == want.shape == (len(pts), 3)
+    assert nodal.tobytes() == want.tobytes() == alone.nodal.tobytes()
