@@ -22,11 +22,12 @@ quadrature whose exactness degree covers the polynomial integrands;
 constraints are reduced by a rank-revealing SVD null space.  The mass
 matrix is exactly 2S * I, so A and D are standard symmetric eigenproblems
 scaled by 1/(2S) and only B is a pencil, with a condition gate.  The
-audit takes B and D from one set of Gram matrices per frame and solves
-each once, at the audit degree, with no history below it: in exact
-arithmetic, Cauchy interlacing on the nested subspaces makes the
-restricted condition number and the eigenvalue spread only worse as the
-degree rises, so the top-degree gates imply the lower-degree ones.
+table ``_QUOTIENTS`` defines each quotient and the one loop ``_estimates``
+solves them, over degrees 4..N for ``rayleigh_*`` and, for the audit's B
+and D together, at the audit degree alone: in exact arithmetic, Cauchy
+interlacing on the nested subspaces makes the restricted condition number
+and the eigenvalue spread only worse as the degree rises, so the
+top-degree gates imply the lower-degree ones.
 
 Everything that does not depend on the triangle is built once per degree
 and kept as read-only arrays: the basis table at the rule points (which
@@ -210,15 +211,6 @@ def _right_triangle_ordered(tri: Triangle) -> Triangle:
     )
 
 
-def _restrict(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z^T m z: ``m`` on the span of ``z``, an orthonormal basis of a
-    constrained subspace of the leading len(z) basis functions."""
-    if z.shape[1] == 0:
-        raise NotApplicable("constraints eliminate the whole subspace")
-    k = len(z)
-    return z.T @ m[:k, :k] @ z
-
-
 def _solve(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """Smallest eigenvalue of the restricted pencil (a, b), or of a alone."""
     import scipy.linalg
@@ -243,24 +235,36 @@ def _solve(a: np.ndarray, b: np.ndarray | None = None) -> float:
     return float(vals[0])
 
 
-def _estimate(tri: Triangle, kind: str, constraint: str, degree: int,
-              num: np.ndarray, den: np.ndarray | None = None,
-              mass: float = 1.0) -> QuotientEstimate:
-    """History of sqrt(lambda_min / ``mass``) of ``_solve`` over the
-    subspace degrees: ``den`` is the denominator Gram matrix, or None when
-    the denominator is the mass matrix ``mass`` * I."""
-    history = []
-    for d in range(MIN_DEGREE, degree + 1):
+# What each quotient is: its constraint, its numerator Gram matrix and its
+# denominator Gram matrix; "mass" is 2S * I, never formed.
+_QUOTIENTS = {
+    "A1": ("edge1", "g1", "mass"),
+    "A2-edge": ("edge2", "g1", "mass"),
+    "B": ("vertices", "g2", "g1"),
+    "D": ("vertices", "g2", "mass"),
+}
+
+
+def _estimates(tri: Triangle, kinds: tuple[str, ...], degree: int,
+               lo: int = MIN_DEGREE) -> dict[str, QuotientEstimate]:
+    """The ``kinds`` quotients of ``tri``, which share one constraint, from
+    one set of Gram matrices: at each subspace degree lo..``degree``, one
+    restriction of each Gram matrix they read and one ``_solve`` each."""
+    (constraint,) = {_QUOTIENTS[kind][0] for kind in kinds}
+    two_s, g1, g2 = _grams(tri, degree)
+    grams = {"g1": g1, "g2": g2}
+    read = {name for kind in kinds for name in _QUOTIENTS[kind][1:]} & grams.keys()
+    histories: dict[str, list[tuple[int, float]]] = {kind: [] for kind in kinds}
+    for d in range(lo, degree + 1):
         z = _null_space(degree, constraint, d)
-        b = None if den is None else _restrict(den, z)
-        history.append((d, math.sqrt(_solve(_restrict(num, z), b) / mass)))
-    return QuotientEstimate(
-        kind=kind,
-        triangle=tri,
-        subspace_degree=degree,
-        value=history[-1][1],
-        history=history,
-    )
+        k = len(z)
+        restricted = {name: z.T @ grams[name][:k, :k] @ z for name in read}
+        for kind, history in histories.items():
+            _, num, den = _QUOTIENTS[kind]
+            lam = _solve(restricted[num], restricted.get(den))
+            history.append((d, math.sqrt(lam / (two_s if den == "mass" else 1.0))))
+    return {kind: QuotientEstimate(kind, tri, degree, history[-1][1], history)
+            for kind, history in histories.items()}
 
 
 def rayleigh_A(tri: Triangle, edge_index: int = 1, degree: int = 12) -> QuotientEstimate:
@@ -271,36 +275,18 @@ def rayleigh_A(tri: Triangle, edge_index: int = 1, degree: int = 12) -> Quotient
     """
     if edge_index not in (1, 2):
         raise NotApplicable(f"edge_index {edge_index} not in {{1, 2}}")
-    ordered = _right_triangle_ordered(tri)
-    if edge_index == 1:
-        kind, constraint = "A1", "edge1"
-    else:
-        kind, constraint = "A2-edge", "edge2"
-    two_s, g1, _ = _grams(ordered, degree)
-    return _estimate(ordered, kind, constraint, degree, g1, mass=two_s)
-
-
-def _b_and_d(tri: Triangle, degree: int) -> tuple[float, float]:
-    """The degree-``degree`` B and D values of ``tri``: one set of Gram
-    matrices, one restriction of G2 and one solve per quotient, with no
-    history below ``degree``."""
-    two_s, g1, g2 = _grams(tri, degree)
-    z = _null_space(degree, "vertices", degree)
-    a = _restrict(g2, z)
-    return (math.sqrt(_solve(a, _restrict(g1, z))),
-            math.sqrt(_solve(a) / two_s))
+    kind = "A1" if edge_index == 1 else "A2-edge"
+    return _estimates(_right_triangle_ordered(tri), (kind,), degree)[kind]
 
 
 def rayleigh_B(tri: Triangle, degree: int = 12) -> QuotientEstimate:
     """Second-order/first-order quotient over vertex-vanishing polynomials."""
-    _, g1, g2 = _grams(tri, degree)
-    return _estimate(tri, "B", "vertices", degree, g2, g1)
+    return _estimates(tri, ("B",), degree)["B"]
 
 
 def rayleigh_D(tri: Triangle, degree: int = 12) -> QuotientEstimate:
     """Second-order/zeroth-order quotient over vertex-vanishing polynomials."""
-    two_s, _, g2 = _grams(tri, degree)
-    return _estimate(tri, "D", "vertices", degree, g2, mass=two_s)
+    return _estimates(tri, ("D",), degree)["D"]
 
 
 @dataclass(frozen=True)
@@ -308,7 +294,10 @@ class AuditEntry:
     lemma: str
     computed: float
     bound: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.computed >= self.bound
 
     def to_dict(self) -> dict:
         return {
@@ -339,48 +328,44 @@ class AuditRecord:
         }
 
 
+def _audit_frames(tri: Triangle):
+    """(family, frame, k_B, k_D) of each bound family that applies to
+    ``tri``, in report order; the canonical frame is built only after the
+    right-legs frame has been audited, so an error there is raised first."""
+    try:
+        right = _right_triangle_ordered(tri)
+    except NotApplicable:
+        pass
+    else:
+        yield "right_legs", right, 2.0, 4.0
+    form = canonicalize(tri)
+    yield ("longest_edge", Triangle((-1.0, 0.0), (1.0, 0.0), (form.s, form.eta * form.t)),
+           2.0 ** _PHI_2 * math.sqrt(3.0), 2.0 ** _MU_2 * 3.0)
+
+
 def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
     """Check the known quotient lower bounds against subspace estimates.
 
     Estimates are upper bounds of the true infima, so ``computed >= bound``
     must hold with zero tolerance in the passing direction.  Two bound
-    families are audited at p = 2:
+    families are audited at p = 2, B >= A_2/(k_B R) and D >= D_2/(k_D R^2)
+    in a frame of circumradius R, with D_2 = ``D2_REFERENCE``:
 
-    * right triangles with axis-parallel legs, circumradius R:
-      B >= A_2/(2R) and D >= D_2/(4R^2), audited only when ``tri`` is one;
-    * any triangle, after canonicalization to a longest edge of length 2 on
-      the x-axis, circumradius R: B >= A_2/(2^phi(2) sqrt(3) R) and
-      D >= D_2/(2^mu(2) * 3 * R^2).
+    * right triangles with axis-parallel legs, audited only when ``tri`` is
+      one: k_B = 2 and k_D = 4;
+    * any triangle, canonicalized to a longest edge of length 2 on the
+      x-axis: k_B = 2^phi(2) sqrt(3) and k_D = 2^mu(2) * 3.
 
-    D_2 is ``D2_REFERENCE``.  Each frame's B and D are solved once, at
-    ``degree``: the values are the last entries of ``rayleigh_B`` and
-    ``rayleigh_D`` on that frame, bit for bit, and by interlacing the
-    lower-degree gates of those histories refuse nothing that the
-    top-degree gates accept.
+    Each frame's B and D are the loop of ``rayleigh_B`` and ``rayleigh_D``
+    run at ``degree`` alone: their last history entries, bit for bit; by
+    interlacing, lower-degree gates refuse nothing the top-degree ones accept.
     """
     a2 = a2_constant()
     entries: list[AuditEntry] = []
-
-    try:
-        right = _right_triangle_ordered(tri)
-    except NotApplicable:
-        right = None
-    if right is not None:
-        r = metrics(right).R_K
-        b_est, d_est = _b_and_d(right, degree)
-        entries.append(AuditEntry("B_right_legs", b_est, a2 / (2.0 * r),
-                                  b_est >= a2 / (2.0 * r)))
-        bound_d = D2_REFERENCE / (4.0 * r * r)
-        entries.append(AuditEntry("D_right_legs", d_est, bound_d, d_est >= bound_d))
-
-    form = canonicalize(tri)
-    canon_unit = Triangle(
-        (-1.0, 0.0), (1.0, 0.0), (form.s, form.eta * form.t)
-    )
-    r = metrics(canon_unit).R_K
-    b_est, d_est = _b_and_d(canon_unit, degree)
-    bound_b = a2 / (2.0 ** _PHI_2 * math.sqrt(3.0) * r)
-    bound_d = D2_REFERENCE / (2.0 ** _MU_2 * 3.0 * r * r)
-    entries.append(AuditEntry("B_longest_edge", b_est, bound_b, b_est >= bound_b))
-    entries.append(AuditEntry("D_longest_edge", d_est, bound_d, d_est >= bound_d))
+    for family, frame, kb, kd in _audit_frames(tri):
+        r = metrics(frame).R_K
+        est = _estimates(frame, ("B", "D"), degree, lo=degree)
+        entries.append(AuditEntry(f"B_{family}", est["B"].value, a2 / (kb * r)))
+        entries.append(AuditEntry(f"D_{family}", est["D"].value,
+                                  D2_REFERENCE / (kd * r * r)))
     return AuditRecord(triangle=tri, degree=degree, entries=entries)

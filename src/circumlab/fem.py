@@ -44,6 +44,8 @@ ERROR_QUAD_DEGREE = 6
 # refinement on the factor needs one or two steps; the cap only bounds the
 # work a broken factor can waste
 MAX_CG_ITER = 20
+# relative residual |b - A x| / |b| at which refinement stops
+CG_REL_TOL = 1e-10
 
 
 def stiffness_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
@@ -119,17 +121,16 @@ class FemSolution:
     report: SolverReport
 
 
-def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
-             max_iter: int | None = None) -> tuple[np.ndarray, SolverReport]:
+def solve_cg(sys: SparseSystem) -> tuple[np.ndarray, SolverReport]:
     """Direct solve of the free block by one sparse LU factor (SuperLU on
     the minimum-degree ordering of A^T + A, pivoting on the diagonal, which
     is stable for the SPD stiffness block), with iterative refinement: each
     step adds the factor's solution of A d = r to x and recomputes the true
-    residual r = b - A x, until |r| <= rel_tol * |b|, usually after one
+    residual r = b - A x, until |r| <= ``CG_REL_TOL`` * |b|, usually after one
     step.  The report carries the steps and the residual history.
     Deterministic for fixed input.  Raises SingularSystem, a NoConvergence,
     when the block cannot be factored, and NoConvergence (with the history
-    so far) after max_iter (default ``MAX_CG_ITER``) steps.
+    so far) after ``MAX_CG_ITER`` steps.
     """
     import scipy.sparse.linalg
 
@@ -138,8 +139,6 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
     n = len(b)
     if n == 0:
         return np.zeros(0), SolverReport(0, 0.0, [0.0])
-    if max_iter is None:
-        max_iter = MAX_CG_ITER
     x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -152,14 +151,14 @@ def solve_cg(sys: SparseSystem, rel_tol: float = 1e-10,
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularSystem(str(exc)) from exc
     r = b
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_CG_ITER + 1):
         x += lu.solve(r)
         r = b - a @ x
         res = float(np.linalg.norm(r)) / bnorm
         history.append(res)
-        if res <= rel_tol:
+        if res <= CG_REL_TOL:
             return x, SolverReport(it, res, history)
-    raise NoConvergence(max_iter, history)
+    raise NoConvergence(MAX_CG_ITER, history)
 
 
 def solve_poisson(mesh: Mesh, f: ScalarField) -> FemSolution:

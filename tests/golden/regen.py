@@ -60,6 +60,18 @@ CASES = {
     # a one-entry history: the uncertainty is NaN, serialized as "nan"
     "constants_kind_d_one_degree": ["constants", "--kind", "D", "--degree", "4",
                                     "0,0", "1,0", "0,1"],
+    # the default kind, A1
+    "constants_kind_a1": ["constants", "--degree", "6", "0,0", "2,0", "0,1"],
+    "constants_kind_a2": ["constants", "--kind", "A2", "--degree", "6",
+                          "0,0", "1,0", "0,1.5"],
+    # A needs a right triangle with axis-parallel legs: exit 2
+    "constants_not_right_triangle": ["constants", "0,0", "1,0", "0.3,0.8"],
+    # refused by the condition gate of the B pencil: exit 4
+    "constants_kind_b_condition_gate": ["constants", "--kind", "B", "--degree", "8",
+                                        "0,0", "2,0", "1,0.000001"],
+    # refused by the eigenvalue-spread gate: exit 4
+    "constants_kind_d_spread_gate": ["constants", "--kind", "D", "--degree", "8",
+                                     "0,0", "2,0", "1.3,0.003"],
     "mesh_crisscross": ["mesh", "--family", "crisscross", "--n", "4", "--out", "out"],
     "mesh_check_crlf": ["mesh", "--check", "square_crlf.txt"],
     "mesh_lens": ["mesh", "--family", "lens", "--n", "3", "--out", "out"],

@@ -6,6 +6,8 @@ import pytest
 from circumlab import _basis, constants
 from circumlab.constants import (
     D2_REFERENCE,
+    AuditEntry,
+    AuditRecord,
     a2_constant,
     babuska_aziz_root,
     lemma_inequality_audit,
@@ -334,6 +336,16 @@ class TestAudit:
     def test_right_family_skipped_when_not_right(self):
         rec = lemma_inequality_audit(EQUILATERAL, degree=6)
         assert {e.lemma for e in rec.entries} == {"B_longest_edge", "D_longest_edge"}
+
+    def test_entry_below_its_bound_fails(self):
+        # an entry carries no verdict of its own: passing is computed >= bound
+        below = AuditEntry("B_right_legs", 1.0, 1.5)
+        assert below.passed is False
+        assert below.to_dict() == {"lemma": "B_right_legs", "computed": 1.0,
+                                   "bound": 1.5, "pass": False}
+        assert AuditEntry("D_right_legs", 1.5, 1.5).passed is True
+        record = AuditRecord(REF, 8, [below, AuditEntry("D_right_legs", 2.0, 1.5)])
+        assert record.all_pass is False and record.to_dict()["all_pass"] is False
 
     def test_json_round_trip_fields(self):
         rec = lemma_inequality_audit(REF, degree=6)

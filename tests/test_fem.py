@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from circumlab import geometry
+from circumlab import fem, geometry
 from circumlab.errors import InconsistentSpec, NoConvergence
 from circumlab.fem import (
     ERROR_QUAD_DEGREE,
@@ -96,13 +96,15 @@ class TestSolver:
         assert rep.iterations == 1
         assert x == pytest.approx(rhs, rel=1e-12)
 
-    def test_residual_history_on_failure(self):
+    def test_residual_history_on_failure(self, monkeypatch):
         # one refinement step reaches rounding level, so only a zero
         # tolerance exhausts the steps
+        monkeypatch.setattr(fem, "CG_REL_TOL", 0.0)
+        monkeypatch.setattr(fem, "MAX_CG_ITER", 3)
         mesh = gen_uniform(8)
         sys = assemble(mesh, scaled(SINSIN, 2 * math.pi ** 2))
         with pytest.raises(NoConvergence) as exc:
-            solve_cg(sys, rel_tol=0.0, max_iter=3)
+            solve_cg(sys)
         assert len(exc.value.history) == 4
         assert exc.value.max_iter == 3
 
@@ -137,7 +139,7 @@ class TestSolver:
     def test_converges_within_200_iterations(self):
         mesh = gen_uniform(8)
         sys = assemble(mesh, scaled(SINSIN, 2 * math.pi ** 2))
-        x, rep = solve_cg(sys, rel_tol=1e-10, max_iter=200)
+        x, rep = solve_cg(sys)
         assert rep.relative_residual <= 1e-10
         true_res = np.linalg.norm(sys.rhs - sys.matrix @ x) / np.linalg.norm(sys.rhs)
         assert true_res <= 2e-10
@@ -154,7 +156,7 @@ class TestSolver:
     def test_galerkin_orthogonality(self):
         mesh = gen_uniform(8)
         sys = assemble(mesh, scaled(SINSIN, 2 * math.pi ** 2))
-        x, _ = solve_cg(sys, rel_tol=1e-12)
+        x, _ = solve_cg(sys)
         r = sys.rhs - sys.matrix @ x
         assert np.linalg.norm(r) / np.linalg.norm(sys.rhs) <= 1e-8
 
