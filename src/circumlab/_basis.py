@@ -27,8 +27,6 @@ def index_pairs(degree: int) -> list[tuple[int, int]]:
 
 
 def _jac(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
-    if n < 0:
-        return np.zeros_like(x)
     from scipy.special import eval_jacobi
 
     return eval_jacobi(n, a, b, x)

@@ -23,11 +23,11 @@ constraints are reduced by a rank-revealing SVD null space.  The mass
 matrix is exactly 2S * I, so A and D are standard symmetric eigenproblems
 scaled by 1/(2S) and only B is a pencil, with a condition gate.  The
 table ``_QUOTIENTS`` defines each quotient and the one loop ``_estimates``
-solves them, over degrees 4..N for ``rayleigh_*`` and, for the audit's B
-and D together, at the audit degree alone: in exact arithmetic, Cauchy
-interlacing on the nested subspaces makes the restricted condition number
-and the eigenvalue spread only worse as the degree rises, so the
-top-degree gates imply the lower-degree ones.
+solves them from only the Gram matrices they read, over degrees 4..N for
+``rayleigh_*`` and, for the audit's B and D together, at the audit degree
+alone: in exact arithmetic, Cauchy interlacing on the nested subspaces
+makes the restricted condition number and the eigenvalue spread only
+worse as the degree rises, so the top-degree gates imply the lower ones.
 
 Everything that does not depend on the triangle is built once per degree
 and kept as read-only arrays: the basis table at the rule points (which
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _basis
 from .errors import IllConditioned, NotApplicable, UnsupportedDegree
-from .geometry import Triangle, canonicalize, metrics, read_only
+from .geometry import Triangle, canonicalize, circumradius, read_only
 from .quadrature import make_rule
 
 # Published approximate value of the vertex-constrained second-order
@@ -163,10 +163,11 @@ def _null_space(degree: int, constraint: str, sub_degree: int) -> np.ndarray:
     return read_only(scipy.linalg.null_space(_constraint_rows(degree, constraint)[:, :k]))
 
 
-def _grams(tri: Triangle, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """2S and the gradient and Hessian Gram matrices G1, G2 of ``tri`` in
-    the degree-``degree`` basis, mapped affinely from the shared reference
-    table; the mass Gram is 2S * I and is never formed."""
+def _grams(tri: Triangle, degree: int,
+           names: set[str]) -> tuple[float, dict[str, np.ndarray]]:
+    """2S and the Gram matrices ``names`` ("g1" gradient, "g2" Hessian) of
+    ``tri`` in the degree-``degree`` basis, mapped affinely from the shared
+    reference table; only those are formed, and the mass Gram, 2S * I, never is."""
     if not MIN_DEGREE <= degree <= MAX_SUBSPACE_DEGREE:
         raise UnsupportedDegree(
             f"subspace degree {degree} outside [{MIN_DEGREE}, {MAX_SUBSPACE_DEGREE}]"
@@ -177,18 +178,21 @@ def _grams(tri: Triangle, degree: int) -> tuple[float, np.ndarray, np.ndarray]:
     (i11, i12), (i21, i22) = np.linalg.inv(jac)
     weights, tab = _rule_table(degree)
     wc = (weights * det)[:, None]
-    gx = i11 * tab["x"] + i21 * tab["y"]
-    gy = i12 * tab["x"] + i22 * tab["y"]
-    g1 = gx.T @ (wc * gx) + gy.T @ (wc * gy)
-    hxx = i11 * i11 * tab["xx"] + 2 * i11 * i21 * tab["xy"] + i21 * i21 * tab["yy"]
-    hxy = (
-        i11 * i12 * tab["xx"]
-        + (i11 * i22 + i12 * i21) * tab["xy"]
-        + i21 * i22 * tab["yy"]
-    )
-    hyy = i12 * i12 * tab["xx"] + 2 * i12 * i22 * tab["xy"] + i22 * i22 * tab["yy"]
-    g2 = hxx.T @ (wc * hxx) + hyy.T @ (wc * hyy) + 2.0 * (hxy.T @ (wc * hxy))
-    return det, 0.5 * (g1 + g1.T), 0.5 * (g2 + g2.T)
+    grams = {}
+    if "g1" in names:
+        gx = i11 * tab["x"] + i21 * tab["y"]
+        gy = i12 * tab["x"] + i22 * tab["y"]
+        grams["g1"] = gx.T @ (wc * gx) + gy.T @ (wc * gy)
+    if "g2" in names:
+        hxx = i11 * i11 * tab["xx"] + 2 * i11 * i21 * tab["xy"] + i21 * i21 * tab["yy"]
+        hxy = (
+            i11 * i12 * tab["xx"]
+            + (i11 * i22 + i12 * i21) * tab["xy"]
+            + i21 * i22 * tab["yy"]
+        )
+        hyy = i12 * i12 * tab["xx"] + 2 * i12 * i22 * tab["xy"] + i22 * i22 * tab["yy"]
+        grams["g2"] = hxx.T @ (wc * hxx) + hyy.T @ (wc * hyy) + 2.0 * (hxy.T @ (wc * hxy))
+    return det, {name: 0.5 * (g + g.T) for name, g in grams.items()}
 
 
 def _right_triangle_ordered(tri: Triangle) -> Triangle:
@@ -248,17 +252,16 @@ _QUOTIENTS = {
 def _estimates(tri: Triangle, kinds: tuple[str, ...], degree: int,
                lo: int = MIN_DEGREE) -> dict[str, QuotientEstimate]:
     """The ``kinds`` quotients of ``tri``, which share one constraint, from
-    one set of Gram matrices: at each subspace degree lo..``degree``, one
-    restriction of each Gram matrix they read and one ``_solve`` each."""
+    one set of the Gram matrices they read: at each subspace degree
+    lo..``degree``, one restriction of each and one ``_solve`` each."""
     (constraint,) = {_QUOTIENTS[kind][0] for kind in kinds}
-    two_s, g1, g2 = _grams(tri, degree)
-    grams = {"g1": g1, "g2": g2}
-    read = {name for kind in kinds for name in _QUOTIENTS[kind][1:]} & grams.keys()
+    read = {name for kind in kinds for name in _QUOTIENTS[kind][1:]} - {"mass"}
+    two_s, grams = _grams(tri, degree, read)
     histories: dict[str, list[tuple[int, float]]] = {kind: [] for kind in kinds}
     for d in range(lo, degree + 1):
         z = _null_space(degree, constraint, d)
         k = len(z)
-        restricted = {name: z.T @ grams[name][:k, :k] @ z for name in read}
+        restricted = {name: z.T @ g[:k, :k] @ z for name, g in grams.items()}
         for kind, history in histories.items():
             _, num, den = _QUOTIENTS[kind]
             lam = _solve(restricted[num], restricted.get(den))
@@ -331,7 +334,8 @@ class AuditRecord:
 def _audit_frames(tri: Triangle):
     """(family, frame, k_B, k_D) of each bound family that applies to
     ``tri``, in report order; the canonical frame is built only after the
-    right-legs frame has been audited, so an error there is raised first."""
+    right-legs frame has been audited, so an error there, such as
+    IllConditioned, is raised first, before canonicalize's own."""
     try:
         right = _right_triangle_ordered(tri)
     except NotApplicable:
@@ -363,7 +367,7 @@ def lemma_inequality_audit(tri: Triangle, degree: int = 8) -> AuditRecord:
     a2 = a2_constant()
     entries: list[AuditEntry] = []
     for family, frame, kb, kd in _audit_frames(tri):
-        r = metrics(frame).R_K
+        r = circumradius(*frame.edges, frame.area)
         est = _estimates(frame, ("B", "D"), degree, lo=degree)
         entries.append(AuditEntry(f"B_{family}", est["B"].value, a2 / (kb * r)))
         entries.append(AuditEntry(f"D_{family}", est["D"].value,

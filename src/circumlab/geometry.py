@@ -285,20 +285,15 @@ class CanonicalForm:
 def canonicalize(tri: Triangle) -> CanonicalForm:
     """Decompose ``tri`` onto the canonical baseline triangle.
 
-    The longest edge (ties: largest opposite angle, then lowest vertex index)
-    maps to (-1,0)-(1,0) following the triangle's counterclockwise
-    orientation, which places the apex above the baseline; eta lands in
-    (0, sqrt(3)] because the baseline is the longest edge.
+    The longest edge (ties go to the lowest vertex index; tied edges have
+    bitwise equal opposite angles) maps to (-1,0)-(1,0) following the
+    triangle's counterclockwise orientation, which places the apex above
+    the baseline; eta lands in (0, sqrt(3)] because the baseline is the
+    longest edge, and a t that rounds to 0 fails that range check.
     """
     v = [tri.p1, tri.p2, tri.p3]
     lengths = tri.edges
-    lmax = max(lengths)
-    candidates = [i for i in range(3) if lengths[i] == lmax]
-    if len(candidates) > 1:
-        angs = shape_quantities(*lengths, tri.area)[4]
-        amax = max(angs[i] for i in candidates)
-        candidates = [i for i in candidates if angs[i] == amax]
-    i = min(candidates)
+    i = lengths.index(max(lengths))
 
     pa, pb, pc = v[(i + 1) % 3], v[(i + 2) % 3], v[i]
     L = lengths[i]
@@ -310,7 +305,7 @@ def canonicalize(tri: Triangle) -> CanonicalForm:
     mu = 2.0 * (dx * nx + dy * ny) / L
 
     t = math.sqrt(max(0.0, 1.0 - s * s))
-    eta = mu / t
+    eta = mu / t if t > 0.0 else math.inf
     if not 0.0 < eta <= _SQRT3 * (1.0 + 1e-12):
         raise DegenerateTriangle(
             f"canonical height factor {eta} outside (0, sqrt(3)]"

@@ -85,6 +85,16 @@ CASES = {
     "degenerate_needle_overflow_interp": ["interp", "--needle", "1e300", "1.5"],
     "degenerate_needle_overflow_constants": ["constants", "--needle", "1e300", "1.5"],
     "usage_needle_study_nan": ["interp", "--needle-study", "nan"],
+    # the default family, uniform
+    "mesh_uniform_default": ["mesh", "--n", "3", "--out", "out"],
+    # the adaptive sup grid of a p = inf report on an explicit triangle
+    "interp_triangle_inf": ["interp", "0,0", "1,0", "0.3,0.8", "--p", "inf"],
+    # an affine field is reproduced exactly: every error and semi_2p is 0
+    "interp_affine_field": ["interp", "0,0", "1,0", "0.3,0.8", "--field", "affine(1,2,3)"],
+    # an unknown field name: exit 2
+    "usage_unknown_field": ["interp", "0,0", "1,0", "0,1", "--field", "nosuch"],
+    # t rounds to 0 in the canonical form: degenerate, exit 3
+    "degenerate_canonical_zero_t": ["triangle", "0,0", "1,0", "0,1e-9"],
 }
 
 

@@ -265,9 +265,9 @@ class TestGramSharing:
         calls = []
         grams = constants._grams
 
-        def counting(tri, degree):
+        def counting(tri, degree, names):
             calls.append(degree)
-            return grams(tri, degree)
+            return grams(tri, degree, names)
 
         monkeypatch.setattr(constants, "_grams", counting)
         return calls
@@ -279,6 +279,28 @@ class TestGramSharing:
     def test_audit_builds_once_per_frame(self, gram_calls, tri, builds):
         lemma_inequality_audit(tri, 8)
         assert gram_calls == [8] * builds
+
+    def test_forms_only_the_grams_read(self, monkeypatch):
+        # _QUOTIENTS names the Gram matrices each quotient reads; no other
+        # is formed, and the mass Gram 2S * I never is
+        calls = []
+        grams = constants._grams
+
+        def recording(tri, degree, names):
+            calls.append(set(names))
+            out = grams(tri, degree, names)
+            assert out[1].keys() == set(names)
+            return out
+
+        monkeypatch.setattr(constants, "_grams", recording)
+        for run, want in [(lambda: rayleigh_A(REF, 1, 6), [{"g1"}]),
+                          (lambda: rayleigh_A(REF, 2, 6), [{"g1"}]),
+                          (lambda: rayleigh_B(REF, 6), [{"g1", "g2"}]),
+                          (lambda: rayleigh_D(REF, 6), [{"g2"}]),
+                          (lambda: lemma_inequality_audit(REF, 6), [{"g1", "g2"}] * 2)]:
+            calls.clear()
+            run()
+            assert calls == want
 
     @pytest.mark.parametrize("tri, solves", [(REF, 4), (EQUILATERAL, 2)],
                              ids=["right", "equilateral"])
@@ -398,6 +420,17 @@ class TestAudit:
         history = (refuses(lambda: rayleigh_B(tri, 8))
                    or refuses(lambda: rayleigh_D(tri, 8)))
         assert refuses(lambda: lemma_inequality_audit(tri, 8)) == history
+
+    def test_condition_gate_refuses_at_cond_limit(self):
+        # cond = 1 / 3e-14, about 3.3e13, just above COND_LIMIT = 1e13
+        with pytest.raises(IllConditioned, match="denominator Gram condition"):
+            constants._solve(np.eye(2), np.diag([1.0, 3e-14]))
+
+    def test_flat_right_triangle_audit_refuses_before_canonicalizing(self):
+        # canonicalize raises DegenerateTriangle here (t rounds to 0); the
+        # right-legs frame is audited first and its B pencil is refused
+        with pytest.raises(IllConditioned):
+            lemma_inequality_audit(Triangle((0, 0), (1, 0), (0, 1e-9)), 8)
 
     def test_ill_conditioned_raises(self):
         sliver = Triangle((-1, 0), (1, 0), (0.0, 1e-6))

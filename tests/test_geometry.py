@@ -268,6 +268,13 @@ class TestCanonicalize:
             r_k = metrics(tri).R_K
             assert abs(form.ratio * form.canonical_circumradius - r_k) <= 1e-12 * r_k
 
+    def test_flat_triangle_with_zero_t_is_degenerate(self):
+        # s rounds to 1, so t = sqrt(max(0, 1 - s*s)) is 0: eta = mu / t
+        # has no finite value and fails the range check
+        tri = Triangle((0, 0), (1, 0), (0, 1e-9))
+        with pytest.raises(DegenerateTriangle, match="canonical height factor inf"):
+            canonicalize(tri)
+
     def test_tie_break_deterministic(self):
         # two edges tie for longest: the edge opposite the lowest vertex
         # index wins
