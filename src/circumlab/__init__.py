@@ -29,12 +29,9 @@ from .fields import (
     ScalarField,
     affine_field,
     get_field,
-    list_fields,
     monomial_field,
     neg_laplacian,
     polynomial_field,
-    random_polynomial,
-    scaled,
 )
 from .geometry import (
     CanonicalForm,
@@ -83,9 +80,7 @@ from .mesh import (
     gen_crisscross_aniso,
     gen_lens,
     gen_uniform,
-    lens_contains,
     read_mesh,
-    single_triangle_mesh,
     stats,
     validate,
     write_mesh,

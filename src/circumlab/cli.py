@@ -220,6 +220,10 @@ def _cmd_constants(args) -> int:
         seed = 0 if args.seed is None else args.seed
         n_right = 20 if args.right is None else args.right
         n_canonical = 50 if args.canonical is None else args.canonical
+        for flag, value in (("--seed", seed), ("--right", n_right),
+                            ("--canonical", n_canonical)):
+            if value < 0:
+                raise UsageError(f"{flag} {value} must be >= 0")
         rng = np.random.default_rng(seed)
         records = []
         ok = True

@@ -342,8 +342,7 @@ def _audit_frames(tri: Triangle):
         pass
     else:
         yield "right_legs", right, 2.0, 4.0
-    form = canonicalize(tri)
-    yield ("longest_edge", Triangle((-1.0, 0.0), (1.0, 0.0), (form.s, form.eta * form.t)),
+    yield ("longest_edge", canonicalize(tri).frame,
            2.0 ** _PHI_2 * math.sqrt(3.0), 2.0 ** _MU_2 * 3.0)
 
 

@@ -238,11 +238,6 @@ _AFFINE_RE = re.compile(r"affine\(([^)]*)\)$")
 _POLY_RE = re.compile(r"poly[:(]([^)]*)\)?$")
 
 
-def list_fields() -> list[str]:
-    """Fixed registry names (parameterized families excluded)."""
-    return sorted(_FIXED)
-
-
 def get_field(name: str) -> ScalarField:
     """Registry lookup; raises UnknownField on a miss."""
     name = name.strip()
@@ -263,23 +258,6 @@ def get_field(name: str) -> ScalarField:
     raise UnknownField(name)
 
 
-def scaled(f: ScalarField, c: float, name: str | None = None) -> ScalarField:
-    """c * f with evaluators scaled through."""
-    grad = None
-    hess = None
-    if f.grad is not None:
-        grad = lambda x, y: tuple(c * g for g in f.grad(x, y))
-    if f.hess is not None:
-        hess = lambda x, y: tuple(c * h for h in f.hess(x, y))
-    return ScalarField(
-        name=name or f"{c:g}*{f.name}",
-        value=lambda x, y: c * f.value(x, y),
-        grad=grad,
-        hess=hess,
-        degree=f.degree,
-    )
-
-
 def neg_laplacian(f: ScalarField) -> ScalarField:
     """-(f_xx + f_yy) as a value-only field (manufactured right-hand side)."""
     if f.hess is None:
@@ -292,8 +270,3 @@ def neg_laplacian(f: ScalarField) -> ScalarField:
     deg = None if f.degree is None else max(f.degree - 2, 0)
     return ScalarField(name=f"-lap({f.name})", value=value, degree=deg)
 
-
-def random_polynomial(rng: np.random.Generator, degree: int = 4) -> ScalarField:
-    """Random polynomial of total degree <= degree, coefficients U[-1, 1]."""
-    n = (degree + 1) * (degree + 2) // 2
-    return polynomial_field(rng.uniform(-1.0, 1.0, size=n))

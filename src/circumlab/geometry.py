@@ -276,10 +276,10 @@ class CanonicalForm:
     def canonical_circumradius(self) -> float:
         return self.X * self.Y / self.eta
 
-    def rebuild(self) -> Triangle:
-        """Triangle congruent to the decomposed input, in canonical position."""
-        r = self.ratio
-        return Triangle((-r, 0.0), (r, 0.0), (r * self.s, r * self.eta * self.t))
+    @property
+    def frame(self) -> Triangle:
+        """The canonical triangle (-1,0), (1,0), (s, eta*t): the input over ``ratio``."""
+        return Triangle((-1.0, 0.0), (1.0, 0.0), (self.s, self.eta * self.t))
 
 
 def canonicalize(tri: Triangle) -> CanonicalForm:

@@ -190,26 +190,17 @@ def needle_row_csv(row: NeedleRow) -> list[float]:
             r.semi_2p, r.ratio_1, r.triangle.C_K, r.bound_satisfied]
 
 
-def needle_study(
-    h_list,
-    alpha: float,
-    v: ScalarField,
-    p: float = 2.0,
-    force: bool = False,
-) -> list[NeedleRow]:
+def needle_study(h_list, alpha: float, v: ScalarField, p: float = 2.0) -> list[NeedleRow]:
     """Interpolation-error rows over the isosceles family (base h, height
     h**alpha).
 
     For alpha > 1 the apex angle tends to pi as h -> 0, yet for
     1 < alpha < 2 the circumradius (and with it ratio_1) still tends to 0.
-    ``force`` admits a finite alpha <= 1 without the flattening
-    expectation.
     """
     if not math.isfinite(alpha):
         raise InvalidFamily(f"alpha = {alpha} is not finite")
-    if alpha <= 1.0 and not force:
-        raise InvalidFamily(f"alpha = {alpha} <= 1 does not flatten; "
-                            "pass force=True to run anyway")
+    if alpha <= 1.0:
+        raise InvalidFamily(f"alpha = {alpha} <= 1 does not flatten")
     rows = []
     for h in h_list:
         if not 0.0 < h < 1.0:

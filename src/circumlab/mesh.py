@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidFamily, NonConforming, ParseError
-from .geometry import (AREA_FLOOR, Triangle, _degenerate, edge_lengths,
-                       element_geometry, read_only, shape_quantities, signed_area)
+from .geometry import (AREA_FLOOR, _degenerate, edge_lengths, element_geometry,
+                       read_only, shape_quantities, signed_area)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +232,7 @@ def crisscross_rows(n: int, alpha: float) -> int:
     return int(math.ceil(n ** alpha))
 
 
-def gen_crisscross_aniso(n: int, alpha: float, force: bool = False) -> Mesh:
+def gen_crisscross_aniso(n: int, alpha: float) -> Mesh:
     """Unit square in n columns and ceil(n**alpha) rows, each cell split
     into 4 triangles by its center.
 
@@ -242,10 +242,8 @@ def gen_crisscross_aniso(n: int, alpha: float, force: bool = False) -> Mesh:
     """
     if n < 1:
         raise InvalidFamily(f"n = {n} must be >= 1")
-    if not (1.0 < alpha < 2.0) and not force:
-        raise InvalidFamily(
-            f"alpha = {alpha} outside (1, 2); pass force=True to run anyway"
-        )
+    if not 1.0 < alpha < 2.0:
+        raise InvalidFamily(f"alpha = {alpha} outside (1, 2)")
     rows = crisscross_rows(n, alpha)
     xs = np.linspace(0.0, 1.0, n + 1)
     ys = np.linspace(0.0, 1.0, rows + 1)
@@ -264,13 +262,6 @@ def gen_crisscross_aniso(n: int, alpha: float, force: bool = False) -> Mesh:
     )
     v, b, t = _canonical_order(verts, bnd, tris)
     return Mesh(v, b, t)
-
-
-def lens_contains(x, y, tol: float = 0.0):
-    """Predicate of the curved domain |x-y|^(3/2) + |x+y|^(3/2) <= 2 + tol."""
-    u = np.abs(np.asarray(x) - np.asarray(y))
-    v = np.abs(np.asarray(x) + np.asarray(y))
-    return u ** 1.5 + v ** 1.5 <= 2.0 + tol
 
 
 def gen_lens(n: int) -> Mesh:
@@ -314,11 +305,6 @@ def gen_lens(n: int) -> Mesh:
     bnd[n + 1:top:n + 1] = True
     v, b, t = _canonical_order(xy, bnd, tris)
     return Mesh(v, b, t)
-
-
-def single_triangle_mesh(tri: Triangle) -> Mesh:
-    v = tri.vertices
-    return Mesh(v, np.ones(3, dtype=bool), np.array([[0, 1, 2]]))
 
 
 def write_mesh(mesh: Mesh) -> str:

@@ -95,6 +95,8 @@ CASES = {
     "usage_unknown_field": ["interp", "0,0", "1,0", "0,1", "--field", "nosuch"],
     # t rounds to 0 in the canonical form: degenerate, exit 3
     "degenerate_canonical_zero_t": ["triangle", "0,0", "1,0", "0,1e-9"],
+    # a negative audit count or seed is refused before any triangle is drawn
+    "usage_audit_negative_seed": ["constants", "--audit", "--seed", "-1"],
 }
 
 

@@ -19,7 +19,7 @@ from circumlab.constants import (
     rayleigh_D,
 )
 from circumlab.fem import cea_study, h1_error, solve_poisson
-from circumlab.fields import get_field, random_polynomial, scaled
+from circumlab.fields import get_field, neg_laplacian, polynomial_field
 from circumlab.geometry import (
     Triangle,
     circumradius,
@@ -120,7 +120,7 @@ def test_criterion_05_kobayashi_bound_sweep():
     pts = random_triangles(count, rng)
     for k in range(count):
         tri = Triangle(tuple(pts[k, 0]), tuple(pts[k, 1]), tuple(pts[k, 2]))
-        v = random_polynomial(rng, 4)
+        v = polynomial_field(rng.uniform(-1.0, 1.0, size=15))  # degree 4
         rep = error_report(tri, v, 2.0)  # exact rule: degree-4 field, p = 2
         worst = max(worst, rep.err_1p - rep.kobayashi_bound * rep.semi_2p)
     dt = time.perf_counter() - t0
@@ -186,7 +186,7 @@ def test_criterion_08_fem_circumradius_condition():
 def test_criterion_09_classical_baseline():
     t0 = time.perf_counter()
     errs = []
-    f = scaled(SINSIN, 2 * math.pi ** 2)
+    f = neg_laplacian(SINSIN)
     for n in (8, 16, 32):
         mesh = gen_uniform(n)
         sol = solve_poisson(mesh, f)

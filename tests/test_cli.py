@@ -411,7 +411,9 @@ def test_flag_made_useless_by_another_exit_2(argv, named, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["constants", "--kind", "C", "0,0", "1,0", "0,1"], "--kind 'C' not one of"),
     (["fem", "--family", "lens"], "--family 'lens' not one of uniform, crisscross"),
-], ids=["constants-kind", "fem-family"])
+    (["constants", "--audit", "--right", "-1"], "--right -1 must be >= 0"),
+    (["constants", "--audit", "--canonical", "-1"], "--canonical -1 must be >= 0"),
+], ids=["constants-kind", "fem-family", "audit-negative-right", "audit-negative-canonical"])
 def test_value_outside_choices_exit_2(argv, message, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()

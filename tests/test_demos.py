@@ -1,5 +1,7 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script, and README's library quick start, runs to completion in
+a fresh interpreter."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_0(script):
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_0(script):
+    proc = run_python(str(script))
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "True"
+    assert lines[2].startswith("2.0287578")

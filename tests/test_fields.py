@@ -13,12 +13,9 @@ from circumlab.fields import (
     ScalarField,
     affine_field,
     get_field,
-    list_fields,
     monomial_field,
     neg_laplacian,
     polynomial_field,
-    random_polynomial,
-    scaled,
 )
 
 
@@ -59,10 +56,9 @@ class TestRegistry:
         assert float(a.value(0.5, 0.25)) == float(b.value(0.5, 0.25)) == 1.5
 
     def test_monomials_through_degree_4_registered(self):
-        names = list_fields()
         for want in ("one", "x", "y", "xy", "x2", "y2", "x2y2", "x4", "y4", "x3y",
                      "xy3", "sinsin", "expxy"):
-            assert want in names
+            assert get_field(want).name == want
 
     def test_monomial_values(self):
         f = monomial_field(2, 1)
@@ -99,11 +95,6 @@ class TestRegistry:
 
 
 class TestDerived:
-    def test_scaled(self):
-        f = scaled(get_field("x2"), 3.0)
-        assert float(f.value(2.0, 0.0)) == pytest.approx(12.0)
-        assert f.hess(0.0, 0.0)[0] == pytest.approx(6.0)
-
     def test_neg_laplacian_sinsin(self):
         f = get_field("sinsin")
         g = neg_laplacian(f)
@@ -119,7 +110,7 @@ class TestDerived:
 
     def test_polynomial_gradient_hessian_exact(self):
         rng = np.random.default_rng(31)
-        f = random_polynomial(rng, 4)
+        f = polynomial_field(rng.uniform(-1.0, 1.0, size=15))  # degree 4
         x, y = rng.uniform(-1, 1, size=(2, 50))
         h = 1e-6
         gx, gy = f.grad(x, y)
@@ -177,7 +168,7 @@ class TestPolynomialEvaluator:
     def test_shapes_preserved(self, shape):
         # (16, 1000) spans several blocks of the evaluator
         rng = np.random.default_rng(5)
-        f = random_polynomial(rng, 5)
+        f = polynomial_field(rng.uniform(-1.0, 1.0, size=21))  # degree 5
         x, y = rng.uniform(-1, 1, size=(2,) + shape)
         flat_x, flat_y = np.ravel(x), np.ravel(y)
         outs = [f.value(x, y), *f.grad(x, y), *f.hess(x, y)]
@@ -288,7 +279,7 @@ class TestJet:
     def test_across_blocks_and_alone(self, size):
         # 8193 and 16385 points leave a last block of one point
         rng = np.random.default_rng(size)
-        f = random_polynomial(rng, 6)
+        f = polynomial_field(rng.uniform(-1.0, 1.0, size=28))  # degree 6
         x, y = rng.uniform(-2, 2, size=(2, size))
         jet = _jet_components(f.jet(x, y))
         _assert_same_bits(jet, _evaluator_components(f, x, y))
@@ -315,4 +306,3 @@ class TestJet:
     def test_derived_fields_have_no_jet(self):
         f = get_field("x2y")
         assert neg_laplacian(f).jet is None
-        assert scaled(f, 2.0).jet is None

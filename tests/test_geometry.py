@@ -251,7 +251,8 @@ class TestCanonicalize:
         for _ in range(500):
             tri = random_triangle(rng)
             form = canonicalize(tri)
-            rebuilt = form.rebuild()
+            assert form.frame == Triangle((-1.0, 0.0), (1.0, 0.0), (form.s, form.eta * form.t))
+            rebuilt = Triangle(*(form.ratio * v for v in form.frame.vertices))
             m1, m2 = metrics(tri), metrics(rebuilt)
             got = sorted([m2.A, m2.B, m2.C])
             want = sorted([m1.A, m1.B, m1.C])

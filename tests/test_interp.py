@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from circumlab import geometry, quadrature
 from circumlab.errors import InvalidExponent, InvalidFamily
 from circumlab.fem import ERROR_QUAD_DEGREE, hessian_seminorm, interpolation_h1_error
-from circumlab.fields import ScalarField, get_field, polynomial_field, random_polynomial
+from circumlab.fields import ScalarField, get_field, polynomial_field
 from circumlab.geometry import (
     Triangle,
     metrics,
@@ -25,7 +25,7 @@ from circumlab.interp import (
     needle_study,
     p1_interpolate,
 )
-from circumlab.mesh import single_triangle_mesh
+from circumlab.mesh import Mesh
 from circumlab.quadrature import make_rule
 from oracles import interpolation_error_sq
 from test_fem import record_calls
@@ -94,7 +94,7 @@ class TestErrorReport:
         rng = np.random.default_rng(21)
         for _ in range(300):
             tri = random_triangle(rng)
-            v = random_polynomial(rng, 4)
+            v = polynomial_field(rng.uniform(-1.0, 1.0, size=15))  # degree 4
             rep = error_report(tri, v, 2.0)
             assert rep.err_1p <= rep.kobayashi_bound * rep.semi_2p + 1e-10
             assert rep.err_1p <= rep.circumradius_bound * rep.semi_2p + 1e-10
@@ -194,7 +194,8 @@ class TestCallCounts:
             field, **{k: counting(k, getattr(field, k)) for k in ("value", "grad", "hess")})
 
     def test_polynomial_one_rule_one_evaluation_each(self, monkeypatch):
-        calls, v = self.counted(random_polynomial(np.random.default_rng(3), 4), monkeypatch)
+        calls, v = self.counted(
+            polynomial_field(np.random.default_rng(3).uniform(-1.0, 1.0, size=15)), monkeypatch)
         error_report(Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8)), v, 2.0)
         # value: once, at the rule points and the vertices together
         assert calls == {"make_rule": 1, "value": 1, "grad": 1, "hess": 1}
@@ -220,7 +221,7 @@ class TestCallCounts:
 
     def test_polynomial_one_jet_call_per_rule(self, monkeypatch):
         calls, v = self.counted_with_jet(
-            random_polynomial(np.random.default_rng(3), 4), monkeypatch)
+            polynomial_field(np.random.default_rng(3).uniform(-1.0, 1.0, size=15)), monkeypatch)
         error_report(Triangle((0.1, 0.2), (0.9, 0.3), (0.4, 0.8)), v, 2.0)
         # the vertices and the rule points, everything from one jet call
         assert calls == {"make_rule": 1, "jet": 1}
@@ -237,7 +238,8 @@ class TestCallCounts:
         assert calls == {"make_rule": 1, "value": 1}
 
     @pytest.mark.parametrize("field, make", [
-        (random_polynomial(np.random.default_rng(5), 4), reference_triangle),
+        (polynomial_field(np.random.default_rng(5).uniform(-1.0, 1.0, size=15)),
+         reference_triangle),
         (get_field("sinsin"), lambda: needle_triangle(2.0 ** -6, 1.5)),
     ], ids=["one-rule", "adaptive"])
     def test_element_geometry_once(self, monkeypatch, field, make):
@@ -301,7 +303,7 @@ def test_triangle_path_equals_mesh_path(tri, name):
     v = get_field(name)
     # the mesh functionals integrate on the error rule
     rep = error_report(tri, v, 2.0, rule=make_rule(ERROR_QUAD_DEGREE))
-    mesh = single_triangle_mesh(tri)
+    mesh = Mesh(tri.vertices, np.ones(3, bool), [[0, 1, 2]])
     semi, full = interpolation_h1_error(mesh, v)
     assert semi == pytest.approx(rep.err_1p, rel=1e-14, abs=0.0)
     assert full == pytest.approx(rep.err_full, rel=1e-14, abs=0.0)
@@ -336,15 +338,13 @@ class TestNeedleStudy:
     def test_alpha_validation(self):
         with pytest.raises(InvalidFamily):
             needle_study([0.25], 1.0, get_field("sinsin"))
-        needle_study([0.25], 1.0, get_field("sinsin"), force=True)
         with pytest.raises(InvalidFamily):
             needle_study([1.5], 1.5, get_field("sinsin"))
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("force", [False, True])
-    def test_non_finite_alpha_refused(self, alpha, force):
+    def test_non_finite_alpha_refused(self, alpha):
         with pytest.raises(InvalidFamily, match="not finite"):
-            needle_study([0.25], alpha, get_field("sinsin"), force=force)
+            needle_study([0.25], alpha, get_field("sinsin"))
 
     def test_csv_row_layout(self):
         rows = needle_study([0.25], 1.5, get_field("x2"), 2.0)

@@ -17,9 +17,7 @@ from circumlab.mesh import (
     gen_crisscross_aniso,
     gen_lens,
     gen_uniform,
-    lens_contains,
     read_mesh,
-    single_triangle_mesh,
     stats,
     validate,
     write_mesh,
@@ -108,15 +106,16 @@ class TestCrisscross:
         assert ss[-1].max_angle > 2.9
         assert stats(gen_crisscross_aniso(16, 1.5)).max_angle > 2.2
 
-    def test_alpha_one_symmetric(self):
-        s = stats(gen_crisscross_aniso(4, 1.0, force=True))
-        assert s.max_angle == pytest.approx(math.pi / 2, rel=1e-12)
-        assert s.min_angle == pytest.approx(math.pi / 4, rel=1e-12)
+    def test_alpha_three_halves_closed_form(self):
+        # n = 4: 8 rows, cells 1/4 x 1/8; the center splits each into
+        # triangles of base 1/4 and height 1/16, and of base 1/8 and height 1/8
+        s = stats(gen_crisscross_aniso(4, 1.5))
+        assert s.max_angle == pytest.approx(2 * math.atan(2.0), rel=1e-12)
+        assert s.min_angle == pytest.approx(math.atan(0.5), rel=1e-12)
 
     def test_alpha_validation(self):
         with pytest.raises(InvalidFamily):
             gen_crisscross_aniso(4, 2.5)
-        gen_crisscross_aniso(4, 2.5, force=True)
 
     def test_invalid_n(self):
         with pytest.raises(InvalidFamily, match="n = 0 must be >= 1"):
@@ -131,7 +130,8 @@ class TestLens:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_vertices_inside_curve(self, n):
         m = gen_lens(n)
-        assert np.all(lens_contains(m.vertices[:, 0], m.vertices[:, 1], tol=1e-12))
+        x, y = m.vertices.T
+        assert np.all(np.abs(x - y) ** 1.5 + np.abs(x + y) ** 1.5 <= 2.0 + 1e-12)
         validate(m)
 
     def test_degenerating_family(self):
@@ -161,7 +161,7 @@ def _random_triangles():
 class TestStats:
     def test_single_needle_matches_metrics(self):
         tri = needle_triangle(0.5, 1.5)
-        s = stats(single_triangle_mesh(tri))
+        s = stats(Mesh(tri.vertices, np.ones(3, bool), [[0, 1, 2]]))
         m = metrics(tri)
         assert s.max_R_K == m.R_K
         assert s.h_max == m.h_K
@@ -176,7 +176,7 @@ class TestStats:
                   st.floats(1e-12, 1e-3), st.floats(-0.5, 1.5)),
     ))
     def test_single_triangle_equals_metrics_exactly(self, tri):
-        s = stats(single_triangle_mesh(tri))
+        s = stats(Mesh(tri.vertices, np.ones(3, bool), [[0, 1, 2]]))
         m = metrics(tri)
         assert (s.h_max, s.max_R_K, s.min_angle, s.max_angle, s.min_rho_over_h) == (
             m.h_K, m.R_K, m.theta_min, m.theta_max, m.rho_K / m.h_K)
