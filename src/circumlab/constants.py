@@ -11,7 +11,7 @@ therefore an upper bound of the true infimum.  The history over degrees
 4..N is non-increasing in exact arithmetic (nested subspaces); in floating
 point it can rise on flat triangles, because the Gram matrices square the
 conditioning of the derivative matrices (until the factored engine of
-ROADMAP item 2 replaces them).  The Babuska-Aziz constant is
+ROADMAP item 5 replaces them).  The Babuska-Aziz constant is
 the reciprocal of A_2 on the reference triangle and solves
 1/x + tan(1/x) = 0; known lower bounds for the quotients (derived from
 that constant and from the vertex-constrained second-order quotient D_2)

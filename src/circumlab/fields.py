@@ -235,26 +235,40 @@ for _f in (_from_jet("sinsin", _sinsin_jet), _from_jet("expxy", _expxy_jet)):
     _FIXED[_f.name] = _f
 
 _AFFINE_RE = re.compile(r"affine\(([^)]*)\)$")
-_POLY_RE = re.compile(r"poly[:(]([^)]*)\)?$")
+_POLY_RE = re.compile(r"poly(?::(.*)|\((.*)\))$")
+
+
+def _coefficients(family: str, text: str) -> list[float]:
+    """The comma-separated numbers of ``text``, empty entries skipped;
+    raises UnknownField naming the first entry that is not a number."""
+    out = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            out.append(float(part))
+        except ValueError:
+            raise UnknownField(
+                f"{family} coefficient {part.strip()!r} is not a number") from None
+    return out
 
 
 def get_field(name: str) -> ScalarField:
-    """Registry lookup; raises UnknownField on a miss."""
+    """Registry lookup; raises UnknownField on a miss or a malformed
+    ``affine(cx,cy,c0)``, ``poly:LIST`` or ``poly(LIST)``."""
     name = name.strip()
     if name in _FIXED:
         return _FIXED[name]
     m = _AFFINE_RE.match(name)
     if m:
-        parts = [p for p in m.group(1).split(",") if p.strip()]
-        if len(parts) != 3:
-            raise UnknownField(f"affine takes 3 coefficients, got {len(parts)}")
-        return affine_field(*(float(p) for p in parts))
+        coeffs = _coefficients("affine", m.group(1))
+        if len(coeffs) != 3:
+            raise UnknownField(f"affine takes 3 coefficients, got {len(coeffs)}")
+        return affine_field(*coeffs)
     m = _POLY_RE.match(name)
     if m:
-        parts = [p for p in m.group(1).split(",") if p.strip()]
-        if not parts:
+        coeffs = _coefficients("poly", m.group(m.lastindex))
+        if not coeffs:
             raise UnknownField("poly needs at least one coefficient")
-        return polynomial_field([float(p) for p in parts])
+        return polynomial_field(coeffs)
     raise UnknownField(name)
 
 

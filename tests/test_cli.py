@@ -138,7 +138,13 @@ class TestInterpCommand:
     @pytest.mark.parametrize("field, message", [
         ("affine(1,2)", "affine takes 3 coefficients, got 2"),
         ("poly:", "poly needs at least one coefficient"),
-    ], ids=["affine-two", "poly-empty"])
+        ("poly:1,x,3", "poly coefficient 'x' is not a number"),
+        ("affine(1,2,z)", "affine coefficient 'z' is not a number"),
+        ("poly:(1,2,3)", "poly coefficient '(1' is not a number"),
+        ("poly:1,2,3)", "poly coefficient '3)' is not a number"),
+        ("poly(1,2,3", "poly(1,2,3"),
+    ], ids=["affine-two", "poly-empty", "poly-token", "affine-token",
+            "poly-colon-paren", "poly-trailing-paren", "poly-unclosed"])
     def test_malformed_field_exit_2(self, capsys, field, message):
         code = cli.main(["interp", "--field", field, "0,0", "1,0", "0,1"])
         captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ from circumlab.fields import (BLOCK_POINTS, ScalarField, get_field, neg_laplacia
 from circumlab.geometry import reference_triangle
 from circumlab.mesh import Mesh, gen_crisscross_aniso, gen_uniform
 from circumlab.quadrature import FieldAtRule, make_rule
+from oracles import _poly_diff, _poly_mul
 
 SINSIN = get_field("sinsin")
 # u = x(1-x) y(1-y) (1+x+2y), the generic bubble: unlike sinsin it is no
 # near-eigenvector of the discrete Laplacian
-BUBBLE = polynomial_field(
-    [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, -1, -2, -2, 0, 0, 0, 1, 2, 0, 0])
+BUBBLE_COEFFS = [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, -1, -2, -2, 0, 0, 0, 1, 2, 0, 0]
+BUBBLE = polynomial_field(BUBBLE_COEFFS)
 
 
 def record_calls(monkeypatch, fn, record=len) -> list:
@@ -389,6 +391,28 @@ class TestCeaStudy:
         for r in rep.rows:
             assert r.h1_seminorm_error <= r.interp_h1 * (1 + 1e-8) + 1e-12
             assert r.interp_h1 <= r.max_R_K * r.semi_22_exact * (1 + 1e-8) + 1e-12
+
+    @pytest.mark.parametrize("coeffs", [
+        BUBBLE_COEFFS, [0, 0, 0, 0, 1, 0, 0, -1, -1, 0, 0, 0, 1, 0, 0]],
+        ids=["bubble", "x(1-x)y(1-y)"])
+    @pytest.mark.parametrize("mesh_factory", [
+        gen_uniform, lambda n: gen_crisscross_aniso(n, 1.5)],
+        ids=["uniform", "crisscross-1.5"])
+    def test_semi_22_exact_matches_rational_seminorm(self, coeffs, mesh_factory):
+        # |u|_2^2 = int u_xx^2 + 2 u_xy^2 + u_yy^2 over the unit square, from
+        # int x^i y^j = 1 / ((i+1)(j+1)) on the exact polynomial
+        graded = [(i, d - i) for d in range(6) for i in range(d, -1, -1)]
+        u = {ij: Fraction(c) for ij, c in zip(graded, coeffs) if c}
+        uxx, uyy = _poly_diff(_poly_diff(u, 0), 0), _poly_diff(_poly_diff(u, 1), 1)
+        uxy = _poly_diff(_poly_diff(u, 0), 1)
+        square = _poly_mul(uxx, uxx)
+        for c, part in ((2, _poly_mul(uxy, uxy)), (1, _poly_mul(uyy, uyy))):
+            for ij, v in part.items():
+                square[ij] = square.get(ij, Fraction(0)) + c * v
+        want = math.sqrt(sum(v / ((i + 1) * (j + 1)) for (i, j), v in square.items()))
+        rep = cea_study(mesh_factory, [2, 4], polynomial_field(coeffs))
+        for r in rep.rows:
+            assert r.semi_22_exact == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_chain_inequalities_on_the_bubble(self):
         rep = cea_study(
